@@ -1,4 +1,5 @@
-"""Exact rational arithmetic: polynomials, generating functions, interpolation.
+"""Exact rational arithmetic: polynomials, generating functions, interpolation,
+row reduction.
 
 Everything downstream (order polynomials, structure polynomials, idempotent
 coefficients, quasisymmetric realizations) is built on the three containers
@@ -6,7 +7,10 @@ here:
 
 * UniPoly    -- dense univariate polynomial over Fraction,
 * RationalGF -- quotient of integer polynomials, compared exactly,
-* MultiPoly  -- sparse multivariate polynomial with a fixed number of slots.
+* MultiPoly  -- sparse multivariate polynomial with a fixed number of slots,
+
+and the one exact elimination routine (reduce_row, basis_insert) behind
+every rank and span computation.
 
 There is no floating point anywhere in this package.
 
@@ -222,6 +226,38 @@ def interpolate(points: Sequence[tuple]) -> UniPoly:
         poly = poly + basis * dd[i]
         basis = basis * UniPoly((-xs[i], 1))
     return poly
+
+
+def reduce_row(row: dict, basis: dict) -> dict:
+    """What is left of a sparse row (key -> Fraction) after elimination
+    against an echelon basis (pivot key -> row with 1 at the pivot, which
+    is the row's smallest key).  The input row is not modified."""
+    row = dict(row)
+    while row:
+        pivot = min(row)
+        hit = basis.get(pivot)
+        if hit is None:
+            return row
+        factor = row[pivot]
+        for p, c in hit.items():
+            v = row.get(p, Fraction(0)) - factor * c
+            if v:
+                row[p] = v
+            else:
+                row.pop(p, None)
+    return row
+
+
+def basis_insert(row: dict, basis: dict) -> bool:
+    """Add a sparse row to an echelon basis unless it lies in the span
+    already; True when the basis grew."""
+    row = reduce_row(row, basis)
+    if not row:
+        return False
+    pivot = min(row)
+    lead = row[pivot]
+    basis[pivot] = {p: c / lead for p, c in row.items()}
+    return True
 
 
 class RationalGF:

@@ -16,43 +16,20 @@ import random
 import warnings
 from fractions import Fraction
 
-from .exact import UniPoly, as_fraction, binom_poly, format_rational
+from .exact import UniPoly, as_fraction, basis_insert, format_rational, interpolate, reduce_row
 from .limits import VERIFY_MAX, ResourceLimitError, check_limit
-from .orderpolys import order_polynomial, reciprocity_check, identity_check_43
+from .orderpolys import ORDER_POLY_KINDS, order_polynomial, reciprocity_check, identity_check_43
 from .perms import (
-    b_cyclic_descent_mask,
-    b_descent_mask,
-    b_peak_mask,
+    STATISTICS,
     compose,
-    cyclic_descent_mask,
-    descent_mask,
-    exterior_peak_mask,
+    group_name,
     hat,
-    hyperoctahedral_group,
     identity_perm,
-    left_peak_mask,
+    iterate_group,
     omega,
-    peak_mask,
-    right_peak_mask,
-    sign_mask,
-    symmetric_group,
+    positions,
     validate_perm,
 )
-
-_GROUP_NAMES = {"S": "S", "B": "B", "symmetric": "S", "hyperoctahedral": "B"}
-
-
-def _canon_group(group: str) -> str:
-    try:
-        return _GROUP_NAMES[group]
-    except KeyError:
-        raise ValueError(f"unknown group {group!r}") from None
-
-
-def _iterate(group: str, n: int, force: bool = False):
-    if group == "S":
-        return symmetric_group(n, force)
-    return hyperoctahedral_group(n, force)
 
 
 class GAElem:
@@ -61,7 +38,7 @@ class GAElem:
     __slots__ = ("group", "n", "terms")
 
     def __init__(self, group: str, n: int, terms: dict | None = None):
-        object.__setattr__(self, "group", _canon_group(group))
+        object.__setattr__(self, "group", group_name(group))
         object.__setattr__(self, "n", n)
         clean: dict = {}
         for perm, c in (terms or {}).items():
@@ -167,7 +144,7 @@ class GAPoly:
     __slots__ = ("group", "n", "coeffs")
 
     def __init__(self, group: str, n: int, coeffs):
-        group = _canon_group(group)
+        group = group_name(group)
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
@@ -217,68 +194,41 @@ class GAPoly:
 # --- class families -----------------------------------------------------------
 
 
-def _des_value(p):
-    return descent_mask(p).bit_count()
+def _size(name: str):
+    return lambda p: STATISTICS[name](p).bit_count()
 
 
-def _cdes_value(p):
-    return cyclic_descent_mask(p).bit_count()
-
-
-def _bdes_value(p):
-    return b_descent_mask(p).bit_count()
-
-
-def _bcdes_value(p):
-    return b_cyclic_descent_mask(p).bit_count()
-
-
-def _pe_value(p):
-    return peak_mask(p).bit_count()
-
-
-def _lpe_value(p):
-    return left_peak_mask(p).bit_count()
-
-
-def _rpe_value(p):
-    return right_peak_mask(p).bit_count()
-
-
-def _epe_value(p):
-    return exterior_peak_mask(p).bit_count()
-
-
-def _bpe_sign(p):
-    return (b_peak_mask(p).bit_count(), sign_mask(p))
-
-
-def _positions(mask: int) -> tuple:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+def _set(name: str):
+    return lambda p: positions(STATISTICS[name](p))
 
 
 # tag -> (group, classifier).  Number-indexed families are labeled by the
-# raw statistic value, set-indexed ones by the positions tuple.
+# size of a statistic set, set-indexed ones by its positions tuple.
 CLASS_FAMILIES = {
-    "descent_set": ("S", lambda p: _positions(descent_mask(p))),
-    "descent_num": ("S", _des_value),
-    "cyclic_descent_num": ("S", _cdes_value),
-    "B_descent_num": ("B", _bdes_value),
-    "B_cyclic_descent_num": ("B", _bcdes_value),
-    "peak_interior_set": ("S", lambda p: _positions(peak_mask(p))),
-    "peak_left_set": ("S", lambda p: _positions(left_peak_mask(p))),
-    "peak_interior_num": ("S", _pe_value),
-    "peak_left_num": ("S", _lpe_value),
-    "peak_right_num": ("S", _rpe_value),
-    "peak_exterior_num": ("S", _epe_value),
-    "B_peak_sign_num": ("B", _bpe_sign),
-    "B_peak_sign_set": ("B", lambda p: (sign_mask(p), _positions(b_peak_mask(p)))),
-    "right_peak_num": ("S", _rpe_value),
+    "descent_set": ("S", _set("descent_linear")),
+    "descent_num": ("S", _size("descent_linear")),
+    "cyclic_descent_num": ("S", _size("descent_cyclic")),
+    "B_descent_num": ("B", _size("B_descent")),
+    "B_cyclic_descent_num": ("B", _size("B_cyclic_descent")),
+    "peak_interior_set": ("S", _set("peak_interior")),
+    "peak_left_set": ("S", _set("peak_left")),
+    "peak_interior_num": ("S", _size("peak_interior")),
+    "peak_left_num": ("S", _size("peak_left")),
+    "peak_right_num": ("S", _size("peak_right")),
+    "peak_exterior_num": ("S", _size("peak_exterior")),
+    "B_peak_sign_num": (
+        "B", lambda p: (STATISTICS["B_peak"](p).bit_count(), STATISTICS["B_sign"](p))
+    ),
+    "B_peak_sign_set": (
+        "B", lambda p: (STATISTICS["B_sign"](p), positions(STATISTICS["B_peak"](p)))
+    ),
     # set-valued right and exterior peak families exist solely to exhibit
     # the failures: their spans are not closed under multiplication
-    "right_peak_set": ("S", lambda p: _positions(right_peak_mask(p))),
-    "exterior_peak_set": ("S", lambda p: _positions(exterior_peak_mask(p))),
+    "right_peak_set": ("S", _set("peak_right")),
+    "exterior_peak_set": ("S", _set("peak_exterior")),
 }
+# the name the right-peak closure failure is stated under
+CLASS_FAMILIES["right_peak_num"] = CLASS_FAMILIES["peak_right_num"]
 
 _label_cache: dict = {}
 
@@ -291,7 +241,7 @@ def family_labels(family: str, n: int, force: bool = False) -> list:
     if key in _label_cache:
         return _label_cache[key]
     group, classify = CLASS_FAMILIES[family]
-    labels = sorted({classify(p) for p in _iterate(group, n, force)})
+    labels = sorted({classify(p) for p in iterate_group(group, n, force)})
     if family == "B_peak_sign_num" and n % 2 == 0:
         top = (n // 2, 1)
         if top not in labels:
@@ -311,7 +261,7 @@ def class_sum(n: int, family: str, label, force: bool = False) -> GAElem:
     labels = family_labels(family, n, force)
     if label not in labels:
         raise ValueError(f"{label!r} is not a class label of {family} at n={n}")
-    terms = {p: Fraction(1) for p in _iterate(group, n, force) if classify(p) == label}
+    terms = {p: Fraction(1) for p in iterate_group(group, n, force) if classify(p) == label}
     if not terms:
         warnings.warn(f"class {label!r} of {family} is empty at n={n}", stacklevel=2)
     return GAElem(group, n, terms)
@@ -392,7 +342,7 @@ def structure_polynomial(n: int, family: str, force: bool = False) -> GAPoly:
     group, _, _, class_family = STRUCTURE_FAMILIES[family]
     classify = CLASS_FAMILIES[class_family][1]
     by_power: list[dict] = [dict() for _ in range(n + 2)]
-    for p in _iterate(group, n, force):
+    for p in iterate_group(group, n, force):
         poly = _class_poly(family, n, classify(p), p)
         for power, c in enumerate(poly.coeffs):
             if c:
@@ -405,77 +355,24 @@ def structure_polynomial(n: int, family: str, force: bool = False) -> GAPoly:
     return GAPoly(group, n, coeffs)
 
 
-def _interpolate_gaelems(points: list[tuple[Fraction, GAElem]], group: str, n: int) -> list[GAElem]:
-    """Newton interpolation with group algebra values; returns dense
-    coefficients.  Mirrors the scalar version in exact.interpolate."""
-    xs = [as_fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    diffs = [v for _, v in points]
-    newton: list[GAElem] = [diffs[0]]
-    for level in range(1, len(points)):
-        diffs = [
-            (diffs[i + 1] - diffs[i]).scale(1 / (xs[i + level] - xs[i]))
-            for i in range(len(diffs) - 1)
-        ]
-        newton.append(diffs[0])
-    out = [newton[-1]]
-    for k in range(len(newton) - 2, -1, -1):
-        # out = out*(x - xs[k]) + newton[k]
-        shifted = [GAElem.zero(group, n)] + out
-        out = [
-            shifted[i] - (out[i].scale(xs[k]) if i < len(out) else GAElem.zero(group, n))
-            for i in range(len(shifted))
-        ]
-        out[0] = out[0] + newton[k]
-    return out
-
-
 def idempotents(n: int, family: str, force: bool = False) -> list[GAElem]:
-    """Coefficients of the structure polynomial at the family's powers,
-    recovered by evaluating at x = 1..deg+1 and interpolating exactly.
+    """Coefficients of the structure polynomial at the family's powers.
 
-    The interpolation route is redundant given the dense coefficients, and
-    that is the point: both must agree or extraction fails."""
+    As a cross-check, every group element's coefficient polynomial is also
+    recovered from the values at x = 1..deg+1 by exact interpolation.  That
+    route is redundant given the dense coefficients, and that is the
+    point: both must agree or extraction fails."""
     gp = structure_polynomial(n, family, force)
-    deg = gp.degree
-    nodes = [Fraction(x) for x in range(1, deg + 2)]
-    values = [(x, gp(x)) for x in nodes]
-    recovered = _interpolate_gaelems(values, gp.group, gp.n)
-    for power in range(max(len(recovered), len(gp.coeffs))):
-        a = recovered[power] if power < len(recovered) else GAElem.zero(gp.group, gp.n)
-        if a != gp.coeff(power):
-            raise AssertionError(f"interpolated coefficient differs at power {power}")
+    nodes = range(1, gp.degree + 2)
+    values = [gp(x) for x in nodes]
+    for p in set().union(*(e.terms for e in values + list(gp.coeffs))):
+        recovered = interpolate([(x, v.coeff(p)) for x, v in zip(nodes, values)])
+        if recovered != UniPoly(e.coeff(p) for e in gp.coeffs):
+            raise AssertionError(f"interpolated coefficients of {p} differ")
     return [gp.coeff(p) for p in idempotent_powers(n, family)]
 
 
 # --- ranks and closures --------------------------------------------------------
-
-
-def _reduce_row(row: dict, basis: dict) -> dict:
-    while row:
-        pivot = min(row)
-        hit = basis.get(pivot)
-        if hit is None:
-            return row
-        factor = row[pivot]
-        for p, c in hit.items():
-            v = row.get(p, Fraction(0)) - factor * c
-            if v:
-                row[p] = v
-            else:
-                row.pop(p, None)
-    return row
-
-
-def _basis_insert(e: GAElem, basis: dict) -> bool:
-    row = _reduce_row(dict(e.terms), basis)
-    if not row:
-        return False
-    pivot = min(row)
-    lead = row[pivot]
-    basis[pivot] = {p: c / lead for p, c in row.items()}
-    return True
 
 
 def span_rank(elems: list[GAElem]) -> int:
@@ -486,7 +383,7 @@ def span_rank(elems: list[GAElem]) -> int:
     rank = 0
     for e in elems:
         elems[0]._check(e)
-        if _basis_insert(e, basis):
+        if basis_insert(e.terms, basis):
             rank += 1
     return rank
 
@@ -494,8 +391,8 @@ def span_rank(elems: list[GAElem]) -> int:
 def in_span(e: GAElem, elems: list[GAElem]) -> bool:
     basis: dict = {}
     for b in elems:
-        _basis_insert(b, basis)
-    return not _reduce_row(dict(e.terms), basis)
+        basis_insert(b.terms, basis)
+    return not reduce_row(e.terms, basis)
 
 
 def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[GAElem]:
@@ -509,11 +406,11 @@ def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[
         return []
     group, n = elems[0].group, elems[0].n
     if cap is None:
-        cap = len(list(_iterate(group, n, force=True)))
+        cap = len(list(iterate_group(group, n, force=True)))
     basis_rows: dict = {}
     basis: list[GAElem] = []
     for e in elems:
-        if _basis_insert(e, basis_rows):
+        if basis_insert(e.terms, basis_rows):
             basis.append(e)
     if len(basis) > cap:
         raise ResourceLimitError(f"closure basis exceeded cap {cap}")
@@ -523,7 +420,7 @@ def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[
         for a in basis:
             for b in fresh:
                 for prod in (a * b, b * a):
-                    if _basis_insert(prod, basis_rows):
+                    if basis_insert(prod.terms, basis_rows):
                         added.append(prod)
                         if len(basis) + len(added) > cap:
                             raise ResourceLimitError(f"closure basis exceeded cap {cap}")
@@ -555,41 +452,25 @@ def structure_constants(n: int, family: str, force: bool = False) -> dict:
     if family not in _CONSTANT_FAMILIES:
         raise ValueError(f"structure constants run on set-valued families, not {family!r}")
     group, classify = CLASS_FAMILIES[family]
-    check_limit(f"{group}-group table", n, VERIFY_MAX[group], force)
-    elements = list(_iterate(group, n, force))
-    labels = family_labels(family, n, force)
-    lab_idx = {lab: i for i, lab in enumerate(labels)}
+    elements, index = _group_elements(group, n, force)
+    labels, _, reps, _, rows = _factor_counts(group, n, family, family, force)
     k = len(labels)
-    cls = [lab_idx[classify(p)] for p in elements]
-    index = {p: i for i, p in enumerate(elements)}
-    rows = [[0] * (k * k) for _ in elements]
-    for si, sigma in enumerate(elements):
-        a = cls[si]
-        for ti, tau in enumerate(elements):
-            rows[index[compose(sigma, tau)]][a * k + cls[ti]] += 1
-    reps: list = [None] * k
-    tensor = [[[0] * k for _ in range(k)] for _ in range(k)]
+    tensor = [[[rows[index[rep]][a * k + b] for rep in reps] for b in range(k)]
+              for a in range(k)]
+    lab_idx = {lab: i for i, lab in enumerate(labels)}
     violation = None
-    for pi_idx, p in enumerate(elements):
-        c = cls[pi_idx]
-        if reps[c] is None:
-            reps[c] = p
-            for a in range(k):
-                for b in range(k):
-                    tensor[a][b][c] = rows[pi_idx][a * k + b]
-        elif violation is None:
-            for a in range(k):
-                for b in range(k):
-                    if rows[pi_idx][a * k + b] != tensor[a][b][c]:
-                        violation = {
-                            "pair": [labels[a], labels[b]],
-                            "class": labels[c],
-                            "elements": [reps[c], p],
-                            "counts": [tensor[a][b][c], rows[pi_idx][a * k + b]],
-                        }
-                        break
-                if violation:
-                    break
+    for p, row in zip(elements, rows):
+        c = lab_idx[classify(p)]
+        rep_row = rows[index[reps[c]]]
+        if row != rep_row:
+            ab = next(i for i, (x, y) in enumerate(zip(row, rep_row)) if x != y)
+            violation = {
+                "pair": [labels[ab // k], labels[ab % k]],
+                "class": labels[c],
+                "elements": [reps[c], p],
+                "counts": [rep_row[ab], row[ab]],
+            }
+            break
     return {
         "family": family,
         "n": n,
@@ -622,8 +503,8 @@ def refined_decomposition(n: int, which: str, force: bool = False) -> dict:
         group = "B"
         plus = {i: dict() for i in range(1, n + 1)}
         minus = {i: dict() for i in range(1, n + 1)}
-        for p in _iterate(group, n, force):
-            i = _bcdes_value(p)
+        for p in iterate_group(group, n, force):
+            i = STATISTICS["B_cyclic_descent"](p).bit_count()
             (plus if p[-1] > 0 else minus)[i][p] = Fraction(1)
         fp = {i: GAElem(group, n, plus[i]) for i in plus}
         fm = {i: GAElem(group, n, minus[i]) for i in minus}
@@ -643,9 +524,9 @@ def refined_decomposition(n: int, which: str, force: bool = False) -> dict:
         top = (n + 1) // 2
         with_one = {i: dict() for i in range(1, top + 1)}
         without = {i: dict() for i in range(1, top + 1)}
-        for p in _iterate(group, n, force):
-            i = _pe_value(p) + 1
-            (with_one if descent_mask(p) >> 1 & 1 else without)[i][p] = Fraction(1)
+        for p in iterate_group(group, n, force):
+            i = STATISTICS["peak_interior"](p).bit_count() + 1
+            (with_one if STATISTICS["descent_linear"](p) >> 1 & 1 else without)[i][p] = Fraction(1)
         f1 = {i: GAElem(group, n, with_one[i]) for i in with_one}
         f0 = {i: GAElem(group, n, without[i]) for i in without}
         for i in range(1, top + 1):
@@ -749,25 +630,22 @@ def _group_elements(group: str, n: int, force: bool):
     key = (group, n)
     got = _table_cache.get(key)
     if got is None:
-        elements = list(_iterate(group, n, force=True))
+        elements = list(iterate_group(group, n, force=True))
         index = {p: i for i, p in enumerate(elements)}
         got = (elements, index)
         _table_cache[key] = got
     return got
 
 
-def _pair_rows(group: str, n: int, famL: str, famR: str, force: bool):
+def _factor_counts(group: str, n: int, famL: str, famR: str, force: bool):
     """For each pi: counts of factorizations sigma tau = pi bucketed by
-    (class of sigma under famL, class of tau under famR)."""
-    keyL = STRUCTURE_FAMILIES[famL][3]
-    keyR = STRUCTURE_FAMILIES[famR][3]
-    key = (group, n, keyL, keyR)
-    got = _rows_cache.get(key)
-    if got is not None:
-        return got
+    (class of sigma under class family famL, class of tau under famR).
+
+    Returns both label lists, the first element of each class, and one row
+    of len(labelsL) * len(labelsR) counts per group element."""
     elements, index = _group_elements(group, n, force)
-    classifyL = CLASS_FAMILIES[keyL][1]
-    classifyR = CLASS_FAMILIES[keyR][1]
+    classifyL = CLASS_FAMILIES[famL][1]
+    classifyR = CLASS_FAMILIES[famR][1]
     labelsL = sorted({classifyL(p) for p in elements})
     labelsR = sorted({classifyR(p) for p in elements})
     li = {lab: i for i, lab in enumerate(labelsL)}
@@ -785,8 +663,16 @@ def _pair_rows(group: str, n: int, famL: str, famR: str, force: bool):
     for p in elements:
         repsL.setdefault(classifyL(p), p)
         repsR.setdefault(classifyR(p), p)
-    got = (labelsL, labelsR, [repsL[lab] for lab in labelsL], [repsR[lab] for lab in labelsR], rows)
-    _rows_cache[key] = got
+    return labelsL, labelsR, [repsL[lab] for lab in labelsL], [repsR[lab] for lab in labelsR], rows
+
+
+def _pair_rows(group: str, n: int, famL: str, famR: str, force: bool):
+    """The factorization counts of two structure families' class families,
+    cached for the grid checks."""
+    key = (group, n, STRUCTURE_FAMILIES[famL][3], STRUCTURE_FAMILIES[famR][3])
+    got = _rows_cache.get(key)
+    if got is None:
+        got = _rows_cache[key] = _factor_counts(*key, force)
     return got
 
 
@@ -882,8 +768,7 @@ def _run_product(tid: str, n: int, force: bool, sample: int | None) -> dict:
 
 def _run_recip(kind: str):
     def run(n: int, force: bool, sample) -> dict:
-        group = "B" if kind == "enriched_B" else "S"
-        for p in _iterate(group, n, force):
+        for p in iterate_group(ORDER_POLY_KINDS[kind][0], n, force):
             if not reciprocity_check(p, kind):
                 return {"ok": False, "counterexample": (list(p), "reciprocity", "failed")}
         return {"ok": True, "counterexample": None}
@@ -902,14 +787,13 @@ def _run_43(which: str):
 def _run_closure_negative(n: int, force: bool, sample) -> dict:
     labels = family_labels("right_peak_num", n, force)
     sums = [class_sum(n, "right_peak_num", lab, force) for lab in labels]
+    basis: dict = {}
+    for e in sums:
+        basis_insert(e.terms, basis)
     for a in sums:
         for b in sums:
-            prod = a * b
-            if not in_span(prod, sums):
-                basis: dict = {}
-                for e in sums:
-                    _basis_insert(e, basis)
-                residue = _reduce_row(dict(prod.terms), basis)
+            residue = reduce_row((a * b).terms, basis)
+            if residue:
                 witness = min(residue)
                 return {
                     "ok": False,

@@ -14,34 +14,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RationalGF, UniPoly, binom_poly, interpolate
-from .perms import (
-    b_cyclic_descent_mask,
-    b_descent_mask,
-    b_peak_mask,
-    cyclic_descent_mask,
-    descent_mask,
-    exterior_peak_mask,
-    hyperoctahedral_group,
-    left_peak_mask,
-    peak_mask,
-    right_peak_mask,
-    sign_mask,
-    symmetric_group,
-    validate_perm,
-)
+from .perms import STATISTICS, iterate_group, validate_perm
 from .posets import IMAGE_SET_KINDS, chain_weight_sum
+
+
+def _sizes(*names: str):
+    """The map p -> (size of each named statistic set of p)."""
+    return lambda p: tuple(STATISTICS[name](p).bit_count() for name in names)
+
 
 # tag -> (group, image-set kind or None, statistic parameters)
 ORDER_POLY_KINDS = {
-    "A_ordinary": ("S", "ordinary", lambda p: (descent_mask(p).bit_count(),)),
-    "A_cyclic": ("S", None, lambda p: (cyclic_descent_mask(p).bit_count(),)),
-    "B_ordinary": ("B", "ordinaryB", lambda p: (b_descent_mask(p).bit_count(),)),
-    "B_cyclic": ("B", None, lambda p: (b_cyclic_descent_mask(p).bit_count(),)),
-    "enriched_interior": ("S", "enriched", lambda p: (peak_mask(p).bit_count(),)),
-    "enriched_left": ("S", "left_enriched", lambda p: (left_peak_mask(p).bit_count(),)),
-    "enriched_right": ("S", "right_enriched", lambda p: (right_peak_mask(p).bit_count(),)),
-    "enriched_exterior": ("S", "exterior_enriched", lambda p: (exterior_peak_mask(p).bit_count(),)),
-    "enriched_B": ("B", "B_enriched", lambda p: (sign_mask(p), b_peak_mask(p).bit_count())),
+    "A_ordinary": ("S", "ordinary", _sizes("descent_linear")),
+    "A_cyclic": ("S", None, _sizes("descent_cyclic")),
+    "B_ordinary": ("B", "ordinaryB", _sizes("B_descent")),
+    "B_cyclic": ("B", None, _sizes("B_cyclic_descent")),
+    "enriched_interior": ("S", "enriched", _sizes("peak_interior")),
+    "enriched_left": ("S", "left_enriched", _sizes("peak_left")),
+    "enriched_right": ("S", "right_enriched", _sizes("peak_right")),
+    "enriched_exterior": ("S", "exterior_enriched", _sizes("peak_exterior")),
+    "enriched_B": ("B", "B_enriched", _sizes("B_sign", "B_peak")),
 }
 
 _T = UniPoly((0, 1))
@@ -49,8 +41,9 @@ _ONE_PLUS_T = UniPoly((1, 1))
 _ONE_MINUS_T = UniPoly((1, -1))
 
 
-def _class_gf(kind: str, n: int, params: tuple) -> RationalGF:
-    """Closed-form generating function sum_k (enriched count at k) t^k."""
+def class_gf(kind: str, n: int, params: tuple) -> RationalGF:
+    """Closed-form generating function sum_k (enriched count at k) t^k, by
+    class parameters; all five enriched kinds."""
     den = _ONE_MINUS_T ** (n + 1)
     if kind == "enriched_interior":
         (pe,) = params
@@ -89,7 +82,7 @@ def _enriched_poly(pi, kind: str) -> UniPoly:
     anchored = group == "B"
     counts = [chain_weight_sum(build(k), pi, anchored=anchored) for k in range(n + 3)]
     poly = interpolate(list(enumerate(counts[: n + 1])))
-    series = _class_gf(kind, n, params).coeffs(n + 3)
+    series = class_gf(kind, n, params).coeffs(n + 3)
     for k in range(n + 3):
         if series[k] != counts[k] or poly(k) != counts[k]:
             raise AssertionError(
@@ -108,19 +101,17 @@ def order_polynomial(pi, kind: str) -> UniPoly:
     """
     if kind not in ORDER_POLY_KINDS:
         raise ValueError(f"unknown order polynomial kind {kind!r}")
-    group = ORDER_POLY_KINDS[kind][0]
+    group, _, stat = ORDER_POLY_KINDS[kind]
     pi = validate_perm(pi, signed=group == "B")
     n = len(pi)
     if n < 1:
         raise ValueError("need n >= 1")
     if kind == "A_ordinary":
-        return binom_poly(n - 1 - descent_mask(pi).bit_count(), n)
+        return binom_poly(n - 1 - stat(pi)[0], n)
     if kind == "A_cyclic":
-        return binom_poly(n - 1 - cyclic_descent_mask(pi).bit_count(), n - 1) * Fraction(1, n)
-    if kind == "B_ordinary":
-        return binom_poly(n - b_descent_mask(pi).bit_count(), n)
-    if kind == "B_cyclic":
-        return binom_poly(n - b_cyclic_descent_mask(pi).bit_count(), n)
+        return binom_poly(n - 1 - stat(pi)[0], n - 1) * Fraction(1, n)
+    if kind in ("B_ordinary", "B_cyclic"):
+        return binom_poly(n - stat(pi)[0], n)
     return _enriched_poly(pi, kind)
 
 
@@ -134,12 +125,7 @@ def enriched_gf(pi, kind: str) -> RationalGF:
         raise ValueError(f"no generating function registered for {kind!r}")
     group, _, stat = ORDER_POLY_KINDS[kind]
     pi = validate_perm(pi, signed=group == "B")
-    return _class_gf(kind, len(pi), stat(pi))
-
-
-def class_gf(kind: str, n: int, params: tuple) -> RationalGF:
-    """Generating function by class parameters; all five enriched kinds."""
-    return _class_gf(kind, n, params)
+    return class_gf(kind, len(pi), stat(pi))
 
 
 _ENRICHED_KINDS = tuple(k for k in ORDER_POLY_KINDS if k.startswith("enriched"))
@@ -191,28 +177,25 @@ def peak_polynomial(n: int, kind: str, i: int | None = None, force: bool = False
             raise ValueError("W_weighted needs the number of negative entries i")
         if not 0 <= i <= n:
             raise ValueError("i out of range")
+    # kind -> (group, statistic, exponent shift, restriction)
     table = {
-        "A_eulerian": ("S", lambda p: descent_mask(p).bit_count() + 1, None),
-        "B_eulerian": ("B", lambda p: b_descent_mask(p).bit_count(), None),
-        "B_cyclic_eulerian": ("B", lambda p: b_cyclic_descent_mask(p).bit_count(), None),
-        "W_interior": ("S", lambda p: peak_mask(p).bit_count() + 1, None),
-        "W_left": ("S", lambda p: left_peak_mask(p).bit_count(), None),
-        "W_plus": ("B", lambda p: b_peak_mask(p).bit_count(), lambda p: p[0] > 0),
-        "W_minus": ("B", lambda p: b_peak_mask(p).bit_count() + 1, lambda p: p[0] < 0),
-        "W_weighted": (
-            "B",
-            lambda p: b_descent_mask(p).bit_count(),
-            lambda p: sum(1 for v in p if v < 0) == i,
-        ),
+        "A_eulerian": ("S", "descent_linear", 1, None),
+        "B_eulerian": ("B", "B_descent", 0, None),
+        "B_cyclic_eulerian": ("B", "B_cyclic_descent", 0, None),
+        "W_interior": ("S", "peak_interior", 1, None),
+        "W_left": ("S", "peak_left", 0, None),
+        "W_plus": ("B", "B_peak", 0, lambda p: p[0] > 0),
+        "W_minus": ("B", "B_peak", 1, lambda p: p[0] < 0),
+        "W_weighted": ("B", "B_descent", 0, lambda p: sum(1 for v in p if v < 0) == i),
     }
     if kind not in table:
         raise ValueError(f"unknown peak polynomial kind {kind!r}")
-    group, exponent, keep = table[kind]
-    it = symmetric_group(n, force) if group == "S" else hyperoctahedral_group(n, force)
+    group, stat, shift, keep = table[kind]
+    mask = STATISTICS[stat]
     buckets: dict[int, int] = {}
-    for p in it:
+    for p in iterate_group(group, n, force):
         if keep is None or keep(p):
-            e = exponent(p)
+            e = mask(p).bit_count() + shift
             buckets[e] = buckets.get(e, 0) + 1
     if not buckets:
         return UniPoly()

@@ -7,7 +7,9 @@ statistics are returned as StatResult so positions and counts travel
 together.
 
 Descent and peak sets are computed on bitmasks first and wrapped at the
-end; the masks are also what the group-algebra layer caches.
+end.  STATISTICS is the one table of statistic names; the order-polynomial,
+group-algebra and quasisymmetric layers read their masks from it, and they
+iterate S_n or B_n only through iterate_group.
 """
 
 from __future__ import annotations
@@ -194,6 +196,29 @@ def sign_mask(p: Perm) -> int:
     return 1 if (p and p[0] < 0) else 0
 
 
+def positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# name -> mask function.  Callers look masks up here at call time, and the
+# values are the public *_mask functions themselves: bench/tracer.py rebinds
+# the direct values of module-level dicts, so a mask nested deeper, or
+# captured in a closure, would escape it.
+STATISTICS = {
+    "descent_linear": descent_mask,
+    "descent_cyclic": cyclic_descent_mask,
+    "peak_interior": peak_mask,
+    "peak_left": left_peak_mask,
+    "peak_right": right_peak_mask,
+    "peak_exterior": exterior_peak_mask,
+    "B_descent": b_descent_mask,
+    "B_cyclic_descent": b_cyclic_descent_mask,
+    "B_peak": b_peak_mask,
+    "B_sign": sign_mask,
+}
+
+
 @dataclass(frozen=True)
 class StatResult:
     """A position set together with its size, as one value."""
@@ -202,15 +227,7 @@ class StatResult:
 
     @property
     def positions(self) -> tuple[int, ...]:
-        m = self.mask
-        out = []
-        i = 0
-        while m:
-            if m & 1:
-                out.append(i)
-            m >>= 1
-            i += 1
-        return tuple(out)
+        return positions(self.mask)
 
     @property
     def count(self) -> int:
@@ -220,44 +237,20 @@ class StatResult:
         return {"set": list(self.positions), "count": self.count}
 
 
-_DESCENT_KINDS = {
-    "linear": descent_mask,
-    "cyclic": cyclic_descent_mask,
-}
-
-_PEAK_KINDS = {
-    "interior": peak_mask,
-    "left": left_peak_mask,
-    "right": right_peak_mask,
-    "exterior": exterior_peak_mask,
-}
-
-_SIGNED_KINDS = {
-    "descent": b_descent_mask,
-    "cyclic_descent": b_cyclic_descent_mask,
-    "peak": b_peak_mask,
-    "sign": sign_mask,
-}
+def _stat(p: Perm, key: str, kind: str, what: str) -> StatResult:
+    if key not in STATISTICS:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return StatResult(STATISTICS[key](p))
 
 
 def descent_stat(p, kind: str = "linear") -> StatResult:
     """Descent set of a plain permutation ('linear' or 'cyclic')."""
-    p = validate_perm(p)
-    try:
-        fn = _DESCENT_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown descent kind {kind!r}") from None
-    return StatResult(fn(p))
+    return _stat(validate_perm(p), f"descent_{kind}", kind, "descent")
 
 
 def peak_stat(p, kind: str = "interior") -> StatResult:
     """Peak set of a plain permutation; kind selects which ends count."""
-    p = validate_perm(p)
-    try:
-        fn = _PEAK_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown peak kind {kind!r}") from None
-    return StatResult(fn(p))
+    return _stat(validate_perm(p), f"peak_{kind}", kind, "peak")
 
 
 def signed_stat(p, kind: str = "descent") -> StatResult:
@@ -265,12 +258,7 @@ def signed_stat(p, kind: str = "descent") -> StatResult:
 
     kind in {'descent', 'cyclic_descent', 'peak', 'sign'}.
     """
-    p = validate_perm(p, signed=True)
-    try:
-        fn = _SIGNED_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown signed kind {kind!r}") from None
-    return StatResult(fn(p))
+    return _stat(validate_perm(p, signed=True), f"B_{kind}", kind, "signed")
 
 
 def symmetric_group(n: int, force: bool = False) -> Iterator[Perm]:
@@ -292,19 +280,24 @@ def hyperoctahedral_group(n: int, force: bool = False) -> Iterator[Perm]:
 
 
 _GROUP_ALIASES = {
-    "symmetric": "symmetric",
-    "hyperoctahedral": "hyperoctahedral",
-    "S": "symmetric",
-    "B": "hyperoctahedral",
+    "S": "S",
+    "B": "B",
+    "symmetric": "S",
+    "hyperoctahedral": "B",
 }
 
 
-def iterate_group(n: int, kind: str = "symmetric", force: bool = False) -> Iterator[Perm]:
+def group_name(group: str) -> str:
+    """'S' or 'B' for any accepted spelling of the group's name."""
     try:
-        kind = _GROUP_ALIASES[kind]
+        return _GROUP_ALIASES[group]
     except KeyError:
-        raise ValueError(f"unknown group {kind!r}") from None
-    if kind == "symmetric":
+        raise ValueError(f"unknown group {group!r}") from None
+
+
+def iterate_group(group: str, n: int, force: bool = False) -> Iterator[Perm]:
+    """All of S_n or B_n in lexicographic order, under the matching guard."""
+    if group_name(group) == "S":
         return symmetric_group(n, force)
     return hyperoctahedral_group(n, force)
 

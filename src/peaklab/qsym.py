@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import MultiPoly, as_fraction, format_rational
+from .exact import MultiPoly, as_fraction, basis_insert, format_rational
 from .limits import (
     BIPARTITE_MAX_N,
     BIPARTITE_MAX_VARS,
@@ -33,14 +33,11 @@ from .limits import (
     check_limit,
 )
 from .perms import (
-    b_peak_mask,
+    STATISTICS,
     compose,
-    hyperoctahedral_group,
     inverse,
-    left_peak_mask,
-    peak_mask,
-    sign_mask,
-    symmetric_group,
+    iterate_group,
+    positions,
     validate_perm,
 )
 from .posets import (
@@ -81,10 +78,6 @@ def _submasks(universe: int):
         if sub == 0:
             return
         sub = (sub - 1) & universe
-
-
-def _positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def fibonacci(k: int) -> int:
@@ -145,7 +138,7 @@ class SignPeakSet:
 
     @classmethod
     def from_mask(cls, sign: int, mask: int) -> "SignPeakSet":
-        return cls(sign, tuple(_positions(mask)))
+        return cls(sign, positions(mask))
 
 
 def sign_peak_sets(n: int) -> list[SignPeakSet]:
@@ -224,7 +217,7 @@ class QsymExpansion:
             if self.basis == "K_B":
                 label = f"({idx.sign},{{{','.join(map(str, idx.peaks))}}})"
             else:
-                label = "{" + ",".join(map(str, _positions(idx))) + "}"
+                label = "{" + ",".join(map(str, positions(idx))) + "}"
             bits.append(f"{format_rational(self.coeffs[idx])}*{self.basis}_{label}")
         return f"QsymExpansion(n={self.n}: " + (" + ".join(bits) or "0") + ")"
 
@@ -235,7 +228,7 @@ class QsymExpansion:
             if self.basis == "K_B":
                 terms.append({"sign": idx.sign, "peaks": list(idx.peaks), "coeff": c})
             else:
-                terms.append({"set": _positions(idx), "coeff": c})
+                terms.append({"set": list(positions(idx)), "coeff": c})
         return {"basis": self.basis, "n": self.n, "terms": terms}
 
     @classmethod
@@ -252,72 +245,64 @@ class QsymExpansion:
         return cls(data["n"], data["basis"], coeffs)
 
 
+# flavor -> (signed, peak statistic, monomial basis, fundamental basis,
+# image-set alphabet).  Signed flavors anchor their chains at zero.
+_FLAVORS = {
+    "interior": (False, "peak_interior", "M", "F", enriched_alphabet),
+    "left": (False, "peak_left", "N", "L", left_enriched_alphabet),
+    "B": (True, "B_peak", "N", "L", b_enriched_alphabet),
+}
+
+
+def _expand(n: int, basis: str, peaks: int, sign: int) -> QsymExpansion:
+    """The expansion fixed by a peak set and a sign bit, in M or N
+    (monomial) or F or L (fundamental) coordinates.
+
+    The coefficients are the powers of two determined by the peak data: the
+    monomial side sums over supersets E of the peaks inside E u (E+1), the
+    fundamental side over D with the peaks inside the symmetric difference
+    of D and D+1.  The plain bases M and F index subsets of [1, n-1] and
+    carry one extra factor of two.  A negative start (sign 1) keeps only
+    the sets that contain 0, and on the fundamental side it carries one
+    more factor of two.
+    """
+    if n < 1:
+        raise ValueError("degree must be positive")
+    plain = basis in ("M", "F")
+    universe = (1 << n) - (2 if plain else 1)
+    if basis in ("M", "N"):
+        coeffs = {
+            E: 2 ** (E.bit_count() + plain)
+            for E in _submasks(universe)
+            if not peaks & ~(E | E << 1) and (E & 1 or not sign)
+        }
+    else:
+        w = 2 ** (peaks.bit_count() + plain + sign)
+        coeffs = {
+            D: w
+            for D in _submasks(universe)
+            if not peaks & ~(D ^ D << 1) and (D & 1 or not sign)
+        }
+    return QsymExpansion(n, basis, coeffs)
+
+
 def delta_expansion(pi, flavor: str, basis: str = "monomial") -> QsymExpansion:
     """Expand the enriched enumerator of one permutation chain.
 
     flavor picks the image set: interior peaks over nonzero values, left
     peaks over values allowed to hit zero, or the signed alphabet.  basis
-    picks monomial (M or N) or fundamental (F or L) coordinates.  The
-    coefficients are the powers of two determined by the peak data: the
-    monomial side sums over supersets E of the peaks inside E u (E+1),
-    the fundamental side over D with the peaks inside the symmetric
-    difference of D and D+1.
+    picks monomial (M or N) or fundamental (F or L) coordinates; see
+    _expand for the coefficients.
     """
     if basis not in ("monomial", "fundamental"):
         raise ValueError(f"unknown basis {basis!r}")
-    if flavor == "interior":
-        p = validate_perm(pi)
-        n = len(p)
-        peaks = peak_mask(p)
-        universe = (1 << n) - 2
-        if basis == "monomial":
-            coeffs = {
-                E: 2 ** (E.bit_count() + 1)
-                for E in _submasks(universe)
-                if not peaks & ~(E | E << 1)
-            }
-            return QsymExpansion(n, "M", coeffs)
-        w = 2 ** (peaks.bit_count() + 1)
-        return QsymExpansion(
-            n, "F", {D: w for D in _submasks(universe) if not peaks & ~(D ^ D << 1)}
-        )
-    if flavor == "left":
-        p = validate_perm(pi)
-        n = len(p)
-        peaks = left_peak_mask(p)
-        universe = (1 << n) - 1
-        if basis == "monomial":
-            coeffs = {
-                E: 2 ** E.bit_count()
-                for E in _submasks(universe)
-                if not peaks & ~(E | E << 1)
-            }
-            return QsymExpansion(n, "N", coeffs)
-        w = 2 ** peaks.bit_count()
-        return QsymExpansion(
-            n, "L", {D: w for D in _submasks(universe) if not peaks & ~(D ^ D << 1)}
-        )
-    if flavor == "B":
-        p = validate_perm(pi, signed=True)
-        n = len(p)
-        peaks = b_peak_mask(p)
-        s = sign_mask(p)
-        universe = (1 << n) - 1
-        if basis == "monomial":
-            coeffs = {
-                E: 2 ** E.bit_count()
-                for E in _submasks(universe)
-                if not peaks & ~(E | E << 1) and (E & 1 or not s)
-            }
-            return QsymExpansion(n, "N", coeffs)
-        w = 2 ** (peaks.bit_count() + s)
-        coeffs = {
-            D: w
-            for D in _submasks(universe)
-            if not peaks & ~(D ^ D << 1) and (D & 1 or not s)
-        }
-        return QsymExpansion(n, "L", coeffs)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    signed, stat, monomial, fundamental, _ = _FLAVORS[flavor]
+    p = validate_perm(pi, signed=signed)
+    sign = STATISTICS["B_sign"](p) if signed else 0
+    target = monomial if basis == "monomial" else fundamental
+    return _expand(len(p), target, STATISTICS[stat](p), sign)
 
 
 def peak_function(n: int, index, family: str = "interior") -> QsymExpansion:
@@ -329,33 +314,17 @@ def peak_function(n: int, index, family: str = "interior") -> QsymExpansion:
     if family == "interior":
         if index not in interior_peak_sets(n):
             raise ValueError(f"{index!r} is not an interior peak set mask at n={n}")
-        universe = (1 << n) - 2
-        w = 2 ** (index.bit_count() + 1)
-        return QsymExpansion(
-            n, "F", {D: w for D in _submasks(universe) if not index & ~(D ^ D << 1)}
-        )
+        return _expand(n, "F", index, 0)
     if family == "left":
         if index not in b_peak_sets(n):
             raise ValueError(f"{index!r} is not a left peak set mask at n={n}")
-        universe = (1 << n) - 1
-        w = 2 ** index.bit_count()
-        return QsymExpansion(
-            n, "L", {D: w for D in _submasks(universe) if not index & ~(D ^ D << 1)}
-        )
+        return _expand(n, "L", index, 0)
     if family == "B":
         if isinstance(index, tuple) and not isinstance(index, SignPeakSet):
             index = SignPeakSet.from_mask(index[0], index[1])
-        mask = index.mask
-        if mask not in b_peak_sets(n):
+        if index.mask not in b_peak_sets(n):
             raise ValueError(f"{index!r} is out of range at n={n}")
-        universe = (1 << n) - 1
-        w = 2 ** (mask.bit_count() + index.sign)
-        coeffs = {
-            D: w
-            for D in _submasks(universe)
-            if not mask & ~(D ^ D << 1) and (D & 1 or not index.sign)
-        }
-        return QsymExpansion(n, "L", coeffs)
+        return _expand(n, "L", index.mask, index.sign)
     raise ValueError(f"unknown K-function family {family!r}")
 
 
@@ -366,7 +335,7 @@ _realize_cache: dict = {}
 
 def _composition(n: int, mask: int) -> tuple[int, ...]:
     """Differences cut by the set positions, with outer boundaries 0 and n."""
-    bounds = [0] + _positions(mask) + [n]
+    bounds = [0, *positions(mask), n]
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
@@ -396,6 +365,8 @@ def realize_basis(n: int, basis: str, index, m: int) -> MultiPoly:
     The result always has m+1 slots; plain-side functions leave slot 0
     untouched so both sides compare in the same arity.
     """
+    if n < 1:
+        raise ValueError("degree must be positive")
     key = (n, basis, index, m)
     if key in _realize_cache:
         return _realize_cache[key]
@@ -432,13 +403,6 @@ def truncate_realize(expansion: QsymExpansion, m: int, force: bool = False) -> M
     return out
 
 
-_ENUMERATOR_ALPHABETS = {
-    "interior": (enriched_alphabet, False, False),
-    "left": (left_enriched_alphabet, False, False),
-    "B": (b_enriched_alphabet, True, True),
-}
-
-
 def truncated_enumerator(pi, flavor: str, m: int, force: bool = False) -> MultiPoly:
     """Direct image-set enumeration of the chain of pi, magnitudes <= m.
 
@@ -446,47 +410,24 @@ def truncated_enumerator(pi, flavor: str, m: int, force: bool = False) -> MultiP
     delta_expansion plus truncate_realize is checked against.  Setting
     every variable to 1 recovers the matching order polynomial value.
     """
-    if flavor not in _ENUMERATOR_ALPHABETS:
+    if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if m < 1:
         raise ValueError("need at least one variable")
     check_limit("variable truncation", m, IMAGE_SET_MAX_K, force)
-    builder, signed, anchored = _ENUMERATOR_ALPHABETS[flavor]
+    signed, _, _, _, alphabet = _FLAVORS[flavor]
     p = validate_perm(pi, signed=signed)
-    return chain_weight_sum(builder(m), p, anchored=anchored, mode="poly")
+    return chain_weight_sum(alphabet(m), p, anchored=signed, mode="poly")
 
 
 # --- K-function rank -------------------------------------------------------------
 
 
-def _dict_rank(rows: list[dict]) -> int:
-    basis: dict = {}
-    rank = 0
-    for row in rows:
-        r = dict(row)
-        while r:
-            pivot = min(r)
-            if pivot in basis:
-                c = r[pivot]
-                for k, v in basis[pivot].items():
-                    nv = r.get(k, Fraction(0)) - c * v
-                    if nv:
-                        r[k] = nv
-                    else:
-                        r.pop(k, None)
-            else:
-                inv = 1 / r[pivot]
-                basis[pivot] = {k: v * inv for k, v in r.items()}
-                rank += 1
-                break
-    return rank
-
-
 def peak_basis_rank(n: int, family: str = "interior", force: bool = False) -> int:
     """Rank of the K-functions in F or L coordinates.
 
-    Linear independence is the content; equality with the count of valid
-    index sets is asserted, so the return value is also that count.
+    Linear independence is the content; a rank short of the count of valid
+    index sets raises AssertionError, so the return value is also that count.
     """
     check_limit("peak basis rank", n, PEAK_RANK_MAX_N, force)
     if family == "interior":
@@ -497,8 +438,10 @@ def peak_basis_rank(n: int, family: str = "interior", force: bool = False) -> in
         rows = [peak_function(n, sp, "B") for sp in sign_peak_sets(n)]
     else:
         raise ValueError(f"unknown K-function family {family!r}")
-    rank = _dict_rank([r.coeffs for r in rows])
-    assert rank == len(rows), (family, n, rank, len(rows))
+    basis: dict = {}
+    rank = sum(basis_insert(r.coeffs, basis) for r in rows)
+    if rank != len(rows):
+        raise AssertionError(f"{family} K-functions at n={n} have rank {rank}, not {len(rows)}")
     return rank
 
 
@@ -546,11 +489,6 @@ _product_cache: dict = {}
 _factor_cache: dict = {}
 
 
-def _group_list(group: str, n: int, force: bool) -> list:
-    it = symmetric_group(n, force) if group == "S" else hyperoctahedral_group(n, force)
-    return list(it)
-
-
 def _product_alpha(firstb, p: int, secondb, q: int, mode: str):
     key = (firstb.__name__, p, secondb.__name__, q, mode)
     if key not in _product_cache:
@@ -566,7 +504,7 @@ def _factor_table(builder, k: int, group: str, n: int, anchored: bool,
         alpha = builder(k)
         _factor_cache[key] = {
             g: chain_weight_sum(alpha, g, anchored=anchored, mode="poly").embed(arity, offset)
-            for g in _group_list(group, n, force)
+            for g in iterate_group(group, n, force)
         }
     return _factor_cache[key]
 
@@ -582,7 +520,8 @@ def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
     check_limit("bipartite alphabet size", max(p, q), BIPARTITE_MAX_VARS, force)
     if min(p, q) < 1:
         raise ValueError("need at least one variable per side")
-    elems = _group_list(group, n, force)
+    # a list, not an iterator: every listed identity sweeps it again
+    elems = list(iterate_group(group, n, force))
     arity = p + q + 2
     for firstb, secondb, mode, anchored, (sigb, sblock), (taub, tblock) in _BIPARTITE[flavor]:
         lhs = chain_weight_sum(
@@ -658,8 +597,8 @@ _RANK_SHIFT = {"fib_rank_interior": ("interior", -1), "fib_rank_left": ("left", 
 
 def _expansion_sweep(which: str, n: int, force: bool) -> dict:
     basis = "monomial" if which == "mon" else "fundamental"
-    for flavor, group in (("interior", "S"), ("left", "S"), ("B", "B")):
-        for g in _group_list(group, n, force):
+    for flavor, (signed, *_) in _FLAVORS.items():
+        for g in iterate_group("B" if signed else "S", n, force):
             spread = delta_expansion(g, flavor, basis)
             for m in (1, 2, 3):
                 got = truncate_realize(spread, m, force)
@@ -683,7 +622,7 @@ def _expansion_sweep(which: str, n: int, force: bool) -> dict:
 
 def _bipartite_sweep(flavor: str, n: int, force: bool) -> dict:
     group = "B" if flavor == "B" else "S"
-    for g in _group_list(group, n, force):
+    for g in iterate_group(group, n, force):
         res = _bipartite_residue(g, flavor, 2, 2, force)
         if res is not None:
             exps, a, b = res

@@ -1,9 +1,17 @@
 """Quasisymmetric expansions, realizations, K-function ranks, and the
 bipartite product identities."""
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import peaklab
+from peaklab import qsym
 
 from peaklab import (
     QsymExpansion,
@@ -193,6 +201,43 @@ def test_peak_basis_rank_guards():
         peak_basis_rank(3, "right")
     with pytest.raises(ResourceLimitError):
         peak_basis_rank(8)
+
+
+def test_peak_basis_rank_shortfall_raises(monkeypatch):
+    # a repeated index set makes the rows dependent; the check must raise
+    # even under python -O, so it is not an assert statement
+    sets = qsym.interior_peak_sets
+    monkeypatch.setattr(qsym, "interior_peak_sets", lambda n: sets(n) + sets(n)[-1:])
+    with pytest.raises(AssertionError, match="rank 5, not 6"):
+        peak_basis_rank(5, "interior")
+
+
+def _run_bounded(*argv):
+    """Run python with the package on its path, capped at 1 GiB of address
+    space and 30 s, so a runaway enumeration fails fast instead of growing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(peaklab.__file__).resolve().parents[1])}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=30, env=env, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("basis", ["monomial", "fundamental"])
+def test_expand_degree_zero_is_refused(basis):
+    # degree 0 once made the universe -1, whose submask walk never ends
+    proc = _run_bounded("-m", "peaklab.cli", "qsym", "expand", "[]",
+                        "--flavor", "interior", "--basis", basis)
+    assert proc.returncode == 2
+    assert "degree must be positive" in proc.stderr
+
+
+def test_realize_degree_zero_is_refused():
+    proc = _run_bounded("-c", "from peaklab.qsym import realize_basis\n"
+                              "realize_basis(0, 'F', 0, 2)")
+    assert proc.returncode == 1
+    assert "ValueError: degree must be positive" in proc.stderr
 
 
 def test_realize_guards():
