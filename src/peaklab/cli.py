@@ -249,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="every registered id")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--sample", type=int, default=None,
-                   help="per-pair sample count for sizes past the sweep guard")
+                   help="seeded grid nodes per product, at least 1; lifts the table guard "
+                   "(S_n to 6, B_n to 4) but not the group-iteration guard")
     _add_force(p)
     p.set_defaults(handler=_cmd_verify)
 

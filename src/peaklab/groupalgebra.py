@@ -8,6 +8,9 @@ points exceeding those degrees.  Products over the group are organized
 through class pair tensors (how often a product of a sigma in class a and
 a tau in class b lands on each pi), so a whole grid costs little more than
 one convolution sweep.
+
+Each class family is partitioned once per n, in one class table (see
+_class_table) that labels, class sums, polynomials and tensors all read.
 """
 
 from __future__ import annotations
@@ -230,24 +233,35 @@ CLASS_FAMILIES = {
 # the name the right-peak closure failure is stated under
 CLASS_FAMILIES["right_peak_num"] = CLASS_FAMILIES["peak_right_num"]
 
-_label_cache: dict = {}
+_class_tables: dict = {}
+
+
+def _class_table(family: str, n: int, force: bool):
+    """The family's partition of iterate_group(group, n): the sorted realized
+    labels, each element's class index and the index of each class's first
+    element.  Built once per (family, n); the group's guard runs every call."""
+    group, classify = CLASS_FAMILIES[family]
+    elements = iterate_group(group, n, force)
+    key = (family, n)
+    got = _class_tables.get(key)
+    if got is None:
+        values = [classify(p) for p in elements]
+        labels = tuple(sorted(set(values)))
+        index = {lab: i for i, lab in enumerate(labels)}
+        classes = [index[v] for v in values]
+        first = [classes.index(c) for c in range(len(labels))]
+        got = _class_tables[key] = (labels, classes, first)
+    return got
 
 
 def family_labels(family: str, n: int, force: bool = False) -> list:
     """Sorted list of class labels.  Realized values, plus the one legal
     empty label: for even n the all-negative-start class at the top peak
     count has no elements but still names a (zero) basis slot."""
-    key = (family, n)
-    if key in _label_cache:
-        return _label_cache[key]
-    group, classify = CLASS_FAMILIES[family]
-    labels = sorted({classify(p) for p in iterate_group(group, n, force)})
-    if family == "B_peak_sign_num" and n % 2 == 0:
-        top = (n // 2, 1)
-        if top not in labels:
-            labels.append(top)
-            labels.sort()
-    _label_cache[key] = labels
+    labels = list(_class_table(family, n, force)[0])
+    if family == "B_peak_sign_num" and n % 2 == 0 and (n // 2, 1) not in labels:
+        labels.append((n // 2, 1))
+        labels.sort()
     return labels
 
 
@@ -255,13 +269,14 @@ def class_sum(n: int, family: str, label, force: bool = False) -> GAElem:
     """Sum, with coefficient 1, of the group elements in the given class."""
     if family not in CLASS_FAMILIES:
         raise ValueError(f"unknown class family {family!r}")
-    group, classify = CLASS_FAMILIES[family]
+    group = CLASS_FAMILIES[family][0]
     if isinstance(label, list):
         label = tuple(label)
-    labels = family_labels(family, n, force)
-    if label not in labels:
+    if label not in family_labels(family, n, force):
         raise ValueError(f"{label!r} is not a class label of {family} at n={n}")
-    terms = {p: Fraction(1) for p in iterate_group(group, n, force) if classify(p) == label}
+    labels, classes, _ = _class_table(family, n, force)
+    terms = {p: Fraction(1) for p, c in zip(iterate_group(group, n, force), classes)
+             if labels[c] == label}
     if not terms:
         warnings.warn(f"class {label!r} of {family} is empty at n={n}", stacklevel=2)
     return GAElem(group, n, terms)
@@ -319,18 +334,20 @@ def idempotent_powers(n: int, family: str) -> list[int]:
     return list(range(n % 2, n + 1, 2))
 
 
-_class_poly_cache: dict = {}
+_class_polys_cache: dict = {}
 
 
-def _class_poly(family: str, n: int, label, rep) -> UniPoly:
-    """Coefficient polynomial shared by every element of a class, already
-    composed with the family's argument substitution."""
-    key = (family, n, label)
-    got = _class_poly_cache.get(key)
+def _class_polys(family: str, n: int, force: bool) -> list[UniPoly]:
+    """Coefficient polynomial shared by every element of each class, in
+    label order, already composed with the family's argument substitution."""
+    group, kind, subst, class_family = STRUCTURE_FAMILIES[family]
+    _, _, first = _class_table(class_family, n, force)
+    key = (family, n)
+    got = _class_polys_cache.get(key)
     if got is None:
-        _, kind, subst, _ = STRUCTURE_FAMILIES[family]
-        got = order_polynomial(rep, kind).compose(subst)
-        _class_poly_cache[key] = got
+        elements = iterate_group(group, n, force)
+        got = [order_polynomial(elements[i], kind).compose(subst) for i in first]
+        _class_polys_cache[key] = got
     return got
 
 
@@ -340,13 +357,13 @@ def structure_polynomial(n: int, family: str, force: bool = False) -> GAPoly:
     if family not in STRUCTURE_FAMILIES:
         raise ValueError(f"unknown structure family {family!r}")
     group, _, _, class_family = STRUCTURE_FAMILIES[family]
-    classify = CLASS_FAMILIES[class_family][1]
+    _, classes, _ = _class_table(class_family, n, force)
+    polys = _class_polys(family, n, force)
     by_power: list[dict] = [dict() for _ in range(n + 2)]
-    for p in iterate_group(group, n, force):
-        poly = _class_poly(family, n, classify(p), p)
-        for power, c in enumerate(poly.coeffs):
-            if c:
-                by_power[power][p] = c
+    for p, c in zip(iterate_group(group, n, force), classes):
+        for power, coeff in enumerate(polys[c].coeffs):
+            if coeff:
+                by_power[power][p] = coeff
     coeffs = [GAElem(group, n, t) for t in by_power]
     allowed = set(idempotent_powers(n, family))
     for power, e in enumerate(coeffs):
@@ -406,7 +423,7 @@ def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[
         return []
     group, n = elems[0].group, elems[0].n
     if cap is None:
-        cap = len(list(iterate_group(group, n, force=True)))
+        cap = len(iterate_group(group, n, force=True))
     basis_rows: dict = {}
     basis: list[GAElem] = []
     for e in elems:
@@ -451,17 +468,17 @@ def structure_constants(n: int, family: str, force: bool = False) -> dict:
     """
     if family not in _CONSTANT_FAMILIES:
         raise ValueError(f"structure constants run on set-valued families, not {family!r}")
-    group, classify = CLASS_FAMILIES[family]
-    elements, index = _group_elements(group, n, force)
-    labels, _, reps, _, rows = _factor_counts(group, n, family, family, force)
+    group = CLASS_FAMILIES[family][0]
+    check_limit(f"{group}-group table", n, VERIFY_MAX[group], force)
+    elements = iterate_group(group, n, force)
+    labels, classes, first = _class_table(family, n, force)
+    rows = _factor_counts(group, n, family, family)
     k = len(labels)
-    tensor = [[[rows[index[rep]][a * k + b] for rep in reps] for b in range(k)]
-              for a in range(k)]
-    lab_idx = {lab: i for i, lab in enumerate(labels)}
+    reps = [elements[i] for i in first]
+    tensor = [[[rows[i][a * k + b] for i in first] for b in range(k)] for a in range(k)]
     violation = None
-    for p, row in zip(elements, rows):
-        c = lab_idx[classify(p)]
-        rep_row = rows[index[reps[c]]]
+    for p, c, row in zip(elements, classes, rows):
+        rep_row = rows[first[c]]
         if row != rep_row:
             ab = next(i for i, (x, y) in enumerate(zip(row, rep_row)) if x != y)
             violation = {
@@ -475,7 +492,7 @@ def structure_constants(n: int, family: str, force: bool = False) -> dict:
         "family": family,
         "n": n,
         "labels": list(labels),
-        "representatives": list(reps),
+        "representatives": reps,
         "well_defined": violation is None,
         "tensor": tensor,
         "violation": violation,
@@ -621,71 +638,52 @@ _PRODUCT_THEOREMS = {
     "phi_times_rho": [("phi", "rho", "rho")],
 }
 
-_table_cache: dict = {}
 _rows_cache: dict = {}
 
 
-def _group_elements(group: str, n: int, force: bool):
-    check_limit(f"{group}-group table", n, VERIFY_MAX[group], force)
-    key = (group, n)
-    got = _table_cache.get(key)
-    if got is None:
-        elements = list(iterate_group(group, n, force=True))
-        index = {p: i for i, p in enumerate(elements)}
-        got = (elements, index)
-        _table_cache[key] = got
-    return got
-
-
-def _factor_counts(group: str, n: int, famL: str, famR: str, force: bool):
+def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     """For each pi: counts of factorizations sigma tau = pi bucketed by
-    (class of sigma under class family famL, class of tau under famR).
-
-    Returns both label lists, the first element of each class, and one row
-    of len(labelsL) * len(labelsR) counts per group element."""
-    elements, index = _group_elements(group, n, force)
-    classifyL = CLASS_FAMILIES[famL][1]
-    classifyR = CLASS_FAMILIES[famR][1]
-    labelsL = sorted({classifyL(p) for p in elements})
-    labelsR = sorted({classifyR(p) for p in elements})
-    li = {lab: i for i, lab in enumerate(labelsL)}
-    ri = {lab: i for i, lab in enumerate(labelsR)}
+    (class of sigma under class family famL, class of tau under famR), one
+    row of len(labelsL) * len(labelsR) counts per group element.  Callers
+    check the size guards first."""
+    elements = iterate_group(group, n, force=True)
+    index = {p: i for i, p in enumerate(elements)}
+    labelsL, classesL, _ = _class_table(famL, n, True)
+    labelsR, classesR, _ = _class_table(famR, n, True)
     kr = len(labelsR)
-    cl = [li[classifyL(p)] for p in elements]
-    cr = [ri[classifyR(p)] for p in elements]
     rows = [[0] * (len(labelsL) * kr) for _ in elements]
-    for si, sigma in enumerate(elements):
-        base = cl[si] * kr
-        for ti, tau in enumerate(elements):
-            rows[index[compose(sigma, tau)]][base + cr[ti]] += 1
-    repsL = {}
-    repsR = {}
-    for p in elements:
-        repsL.setdefault(classifyL(p), p)
-        repsR.setdefault(classifyR(p), p)
-    return labelsL, labelsR, [repsL[lab] for lab in labelsL], [repsR[lab] for lab in labelsR], rows
+    for sigma, a in zip(elements, classesL):
+        base = a * kr
+        for tau, b in zip(elements, classesR):
+            rows[index[compose(sigma, tau)]][base + b] += 1
+    return rows
 
 
-def _pair_rows(group: str, n: int, famL: str, famR: str, force: bool):
+def _pair_rows(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     """The factorization counts of two structure families' class families,
     cached for the grid checks."""
     key = (group, n, STRUCTURE_FAMILIES[famL][3], STRUCTURE_FAMILIES[famR][3])
     got = _rows_cache.get(key)
     if got is None:
-        got = _rows_cache[key] = _factor_counts(*key, force)
+        got = _rows_cache[key] = _factor_counts(*key)
     return got
 
 
 def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
                    force: bool, sample: int | None):
     """Grid check of famL(x) famR(y) == famT(xy), coefficient by coefficient
-    over the group, using factorization-count tensors."""
-    elements, _ = _group_elements(group, n, force)
-    labelsL, labelsR, repsL, repsR, rows = _pair_rows(group, n, famL, famR, force)
-    kr = len(labelsR)
-    polysL = [_class_poly(famL, n, lab, rep) for lab, rep in zip(labelsL, repsL)]
-    polysR = [_class_poly(famR, n, lab, rep) for lab, rep in zip(labelsR, repsR)]
-    classifyT = CLASS_FAMILIES[STRUCTURE_FAMILIES[famT][3]][1]
+    over the group, using factorization-count tensors.  A sampled check
+    evaluates seeded grid nodes and, past the table guard, lifts that guard
+    (the group-iteration guard still applies)."""
+    lifted = sample is not None and n > VERIFY_MAX[group]
+    check_limit(f"{group}-group table", n, VERIFY_MAX[group], force or lifted)
+    elements = iterate_group(group, n, force)
+    polysL = _class_polys(famL, n, force)
+    polysR = _class_polys(famR, n, force)
+    polysT = _class_polys(famT, n, force)
+    _, classesT, _ = _class_table(STRUCTURE_FAMILIES[famT][3], n, force)
+    rows = _pair_rows(group, n, famL, famR)
+    kr = len(polysR)
     degx = max(p.degree for p in polysL)
     degy = max(p.degree for p in polysR)
     if sample is None:
@@ -696,15 +694,13 @@ def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
             (rng.randrange(1, 3 * n + 5), rng.randrange(1, 3 * n + 5))
             for _ in range(sample)
         ]
-    seen: dict = {}
-    for pi_idx, p in enumerate(elements):
-        lab = classifyT(p)
-        key = (tuple(rows[pi_idx]), lab)
+    seen: set = set()
+    for p, c, row in zip(elements, classesT, rows):
+        key = (tuple(row), c)
         if key in seen:
             continue
-        seen[key] = p
-        tpoly = _class_poly(famT, n, lab, p)
-        row = rows[pi_idx]
+        seen.add(key)
+        tpoly = polysT[c]
         for x0, y0 in nodes:
             lhs = Fraction(0)
             for a, pl in enumerate(polysL):
@@ -726,41 +722,10 @@ def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
     return {"ok": True, "counterexample": None, "node": None}
 
 
-def _check_product_direct(group: str, n: int, famL: str, famR: str, famT: str,
-                          force: bool, sample: int):
-    """Fallback for sizes where the full factorization table is too big:
-    direct convolution at a few sampled grid nodes."""
-    gl = structure_polynomial(n, famL, force)
-    gr = structure_polynomial(n, famR, force)
-    gt = structure_polynomial(n, famT, force)
-    rng = random.Random(f"{famL}*{famR}={famT}@{group}{n}:direct")
-    for _ in range(sample):
-        x0 = rng.randrange(1, 3 * n + 5)
-        y0 = rng.randrange(1, 3 * n + 5)
-        lhs = gl(x0) * gr(y0)
-        rhs = gt(Fraction(x0 * y0))
-        if lhs != rhs:
-            diff = lhs - rhs
-            p = min(diff.terms)
-            return {
-                "ok": False,
-                "counterexample": (
-                    list(p),
-                    format_rational(lhs.coeff(p)),
-                    format_rational(rhs.coeff(p)),
-                ),
-                "node": [x0, y0],
-            }
-    return {"ok": True, "counterexample": None, "node": None}
-
-
 def _run_product(tid: str, n: int, force: bool, sample: int | None) -> dict:
     group = STRUCTURE_FAMILIES[_PRODUCT_THEOREMS[tid][0][0]][0]
     for famL, famR, famT in _PRODUCT_THEOREMS[tid]:
-        if n > VERIFY_MAX[group] and sample:
-            out = _check_product_direct(group, n, famL, famR, famT, force, sample)
-        else:
-            out = _check_product(group, n, famL, famR, famT, force, sample)
+        out = _check_product(group, n, famL, famR, famT, force, sample)
         if not out["ok"]:
             return out
     return out
@@ -877,6 +842,8 @@ def verify_identity(n: int, theorem_id: str, force: bool = False,
     a faithfully reproduced failure."""
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, not {sample}")
     entry = THEOREMS[theorem_id]
     out = entry["run"](n, force, sample)
     out["theorem"] = theorem_id

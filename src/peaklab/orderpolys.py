@@ -172,6 +172,8 @@ def peak_polynomial(n: int, kind: str, i: int | None = None, force: bool = False
       W_minus            t^(pe_B + 1) over pi(1) < 0
       W_weighted         t^(des_B) over exactly i negative entries
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if kind == "W_weighted":
         if i is None:
             raise ValueError("W_weighted needs the number of negative entries i")

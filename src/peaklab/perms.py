@@ -272,11 +272,11 @@ def hyperoctahedral_group(n: int, force: bool = False) -> Iterator[Perm]:
     check_limit("hyperoctahedral group iteration", n, HYPEROCT_ITER_MAX, force)
 
     def gen() -> Iterator[Perm]:
-        for p in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                yield tuple(s * v for s, v in zip(signs, p))
+        yield from sorted(tuple(s * v for s, v in zip(signs, p))
+                          for p in itertools.permutations(range(1, n + 1))
+                          for signs in itertools.product((1, -1), repeat=n))
 
-    return iter(sorted(gen()))
+    return gen()
 
 
 _GROUP_ALIASES = {
@@ -295,11 +295,18 @@ def group_name(group: str) -> str:
         raise ValueError(f"unknown group {group!r}") from None
 
 
-def iterate_group(group: str, n: int, force: bool = False) -> Iterator[Perm]:
-    """All of S_n or B_n in lexicographic order, under the matching guard."""
-    if group_name(group) == "S":
-        return symmetric_group(n, force)
-    return hyperoctahedral_group(n, force)
+_groups: dict[tuple[str, int], tuple[Perm, ...]] = {}
+
+
+def iterate_group(group: str, n: int, force: bool = False) -> tuple[Perm, ...]:
+    """All of S_n or B_n in lexicographic order, as one tuple per group and
+    size shared by every caller.  The guard runs on every call, so a forced
+    call never lifts it for a later unforced one."""
+    group = group_name(group)
+    elements = (symmetric_group if group == "S" else hyperoctahedral_group)(n, force)
+    if (group, n) not in _groups:
+        _groups[group, n] = tuple(elements)
+    return _groups[group, n]
 
 
 def special_elements(n: int) -> dict:

@@ -520,8 +520,7 @@ def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
     check_limit("bipartite alphabet size", max(p, q), BIPARTITE_MAX_VARS, force)
     if min(p, q) < 1:
         raise ValueError("need at least one variable per side")
-    # a list, not an iterator: every listed identity sweeps it again
-    elems = list(iterate_group(group, n, force))
+    elems = iterate_group(group, n, force)
     arity = p + q + 2
     for firstb, secondb, mode, anchored, (sigb, sblock), (taub, tblock) in _BIPARTITE[flavor]:
         lhs = chain_weight_sum(

@@ -1,9 +1,12 @@
-"""End-to-end runs of the command line adapter, in process plus one real
-subprocess for the console script."""
+"""End-to-end runs of the command line adapter, in process plus real
+subprocesses for the console script and for ``python -m peaklab.cli``."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +97,27 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_verify_sample_below_one_exits_two(capsys, sample):
+    code, payload, err = run(
+        capsys, "verify", "--theorem", "phi_times_rho", "-n", "4", "--sample", sample
+    )
+    assert code == 2 and payload is None
+    assert "sample" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("peak-table", "-n", "0"),
+    ("peak-table", "-n", "-2"),
+    ("verify", "--theorem", "bpeeul1", "-n", "0"),
+    ("verify", "--all", "-n", "0"),
+])
+def test_nonpositive_n_exits_two(capsys, argv):
+    code, payload, err = run(capsys, *argv)
+    assert code == 2 and payload is None
+    assert "need n >= 1" in err
+
+
 def test_guard_override_with_force(capsys):
     # n=7 is past the default S-group sweep guard; --force accepts the cost
     code, payload, _ = run(
@@ -154,3 +178,24 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["peak_interior"]["set"] == [3]
+
+
+def test_module_subprocess_exit_codes():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PEAKLAB_MAX_N", None)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "peaklab.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+
+    proc = cli("stats", "[2,1,4,3,5]")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["peak_interior"]["set"] == [3]
+    proc = cli("peak-table", "-n", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    proc = cli("verify", "--theorem", "ges", "-n", "7")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr

@@ -26,6 +26,7 @@ from peaklab import (
     verify_identity,
     all_theorem_ids,
 )
+from peaklab import limits, perms
 from peaklab.perms import eta, identity_perm, symmetric_group, hyperoctahedral_group
 
 
@@ -276,3 +277,38 @@ def test_registry_negatives_at_n3():
 def test_registry_sampled_verification():
     out = verify_identity(3, "ges", sample=4)
     assert out["ok"] and out["expected_ok"]
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_sample_below_one_is_rejected(sample):
+    with pytest.raises(ValueError, match="sample"):
+        verify_identity(4, "phi_times_rho", sample=sample)
+
+
+def test_forced_call_does_not_lift_a_later_guard(monkeypatch):
+    monkeypatch.setenv("PEAKLAB_MAX_N", "2")
+    assert family_labels("descent_num", 3, force=True) == [0, 1, 2]
+    with pytest.raises(ResourceLimitError):
+        family_labels("descent_num", 3)
+    with pytest.raises(ResourceLimitError):
+        class_sum(3, "descent_num", 1)
+
+
+def test_family_labels_returns_a_fresh_list():
+    labels = family_labels("peak_interior_num", 4)
+    labels.append("junk")
+    assert family_labels("peak_interior_num", 4) == [0, 1]
+
+
+def test_sampled_product_check_past_the_table_guard(monkeypatch):
+    monkeypatch.setitem(limits.VERIFY_MAX, "S", 3)
+    assert verify_identity(4, "ges", sample=2)["ok"]
+    out = verify_identity(4, "phi_times_rho", sample=3)
+    assert out["ok"] is False and out["expected_ok"] is False
+    assert out["counterexample"] is not None and out["node"] is not None
+    with pytest.raises(ResourceLimitError, match="S-group table"):
+        verify_identity(4, "ges")
+    # the sample lifts the table guard only: the iteration guard still holds
+    monkeypatch.setattr(perms, "SYMMETRIC_ITER_MAX", 3)
+    with pytest.raises(ResourceLimitError, match="symmetric group iteration"):
+        verify_identity(4, "ges", sample=2)

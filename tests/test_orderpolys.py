@@ -126,6 +126,13 @@ def test_peak_polynomials_pinned():
     assert peak_polynomial(2, "B_cyclic_eulerian") == peak_polynomial(2, "A_eulerian") * 4
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_peak_polynomial_needs_positive_n(n):
+    for kind in ("A_eulerian", "W_plus"):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            peak_polynomial(n, kind)
+
+
 def test_peak_polynomial_partitions_of_the_group():
     n = 3
     plus = peak_polynomial(n, "W_plus")
