@@ -5,6 +5,11 @@ Exit status: 0 when the requested computation or checks succeed, 1 when a
 verified identity reports a failure, 2 on unusable input, 3 when a size
 guard refuses the computation (PEAKLAB_MAX_N raises the guards, --force
 drops them).
+
+`verify --all` runs every check even when some refuse: a check that raises
+a guard or input error becomes a result with "ok": null and its "refused"
+message.  Its exit status is 1 if any check that ran failed, else 3 if any
+check hit a guard, else 2 if any refused its input, else 0.
 """
 
 from __future__ import annotations
@@ -119,12 +124,20 @@ def _cmd_verify(args) -> tuple[int, dict]:
     ids = all_theorem_ids() if args.all else [args.theorem]
     results = []
     failed = 0
+    refusals = set()
     for tid in ids:
-        res = verify_identity(args.n, tid, force=args.force, sample=args.sample)
+        try:
+            res = verify_identity(args.n, tid, force=args.force, sample=args.sample)
+        except (ResourceLimitError, ValueError) as exc:
+            if not args.all:
+                raise
+            refusals.add(3 if isinstance(exc, ResourceLimitError) else 2)
+            results.append({"theorem": tid, "n": args.n, "ok": None, "refused": str(exc)})
+            continue
         if not res["ok"]:
             failed += 1
         results.append(_plain(res))
-    return (1 if failed else 0), {
+    return (1 if failed else max(refusals, default=0)), {
         "n": args.n,
         "checked": len(ids),
         "failed": failed,

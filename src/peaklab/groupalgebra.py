@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, permutations
+from math import lcm
+from operator import add, mul
 
 from .exact import UniPoly, as_fraction, basis_insert, format_rational, interpolate, reduce_row
 from .limits import VERIFY_MAX, ResourceLimitError, check_limit
@@ -28,6 +32,7 @@ from .perms import (
     group_name,
     hat,
     identity_perm,
+    inverse,
     iterate_group,
     omega,
     positions,
@@ -645,17 +650,39 @@ def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     """For each pi: counts of factorizations sigma tau = pi bucketed by
     (class of sigma under class family famL, class of tau under famR), one
     row of len(labelsL) * len(labelsR) counts per group element.  Callers
-    check the size guards first."""
+    check the size guards first.
+
+    Counted by index, with no product formed per pair.  Every sigma is
+    q eps, q unsigned and eps a diagonal sign element (only the identity in
+    S_n), and tau = sigma^-1 pi is the inverse of (pi^-1 q) eps.  The
+    products pi^-1 q, q in lexicographic order, are exactly
+    permutations(pi^-1); one index table per eps, built with compose, sends
+    each element to element eps."""
     elements = iterate_group(group, n, force=True)
     index = {p: i for i, p in enumerate(elements)}
     labelsL, classesL, _ = _class_table(famL, n, True)
     labelsR, classesR, _ = _class_table(famR, n, True)
     kr = len(labelsR)
-    rows = [[0] * (len(labelsL) * kr) for _ in elements]
-    for sigma, a in zip(elements, classesL):
-        base = a * kr
-        for tau, b in zip(elements, classesR):
-            rows[index[compose(sigma, tau)]][base + b] += 1
+    width = len(labelsL) * kr
+    unsigned = [index[q] for q in permutations(range(1, n + 1))]
+    inverse_class = [classesR[index[inverse(p)]] for p in elements]
+    diagonal = [p for p in elements if all(abs(v) == i for i, v in enumerate(p, 1))]
+    # per eps: kr * (class of q eps) for each unsigned q in order, and for
+    # each element the class of the inverse of element eps
+    tables = []
+    for eps in diagonal:
+        times = [index[compose(p, eps)] for p in elements]
+        tables.append(([kr * classesL[times[i]] for i in unsigned],
+                       [inverse_class[j] for j in times]))
+    rows = []
+    for pi in elements:
+        left = list(map(index.__getitem__, permutations(inverse(pi))))
+        counts = Counter(chain.from_iterable(
+            map(add, classL, map(classR.__getitem__, left)) for classL, classR in tables))
+        row = [0] * width
+        for ab, cnt in counts.items():
+            row[ab] = cnt
+        rows.append(row)
     return rows
 
 
@@ -667,6 +694,17 @@ def _pair_rows(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     if got is None:
         got = _rows_cache[key] = _factor_counts(*key)
     return got
+
+
+def _cleared(polys: list[UniPoly], args) -> dict:
+    """argument -> (d, values): every polynomial's value there is its
+    integer in values over the common denominator d."""
+    out = {}
+    for t in args:
+        vals = [p(t) for p in polys]
+        d = lcm(*(v.denominator for v in vals))
+        out[t] = (d, [v.numerator * (d // v.denominator) for v in vals])
+    return out
 
 
 def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
@@ -683,7 +721,6 @@ def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
     polysT = _class_polys(famT, n, force)
     _, classesT, _ = _class_table(STRUCTURE_FAMILIES[famT][3], n, force)
     rows = _pair_rows(group, n, famL, famR)
-    kr = len(polysR)
     degx = max(p.degree for p in polysL)
     degy = max(p.degree for p in polysR)
     if sample is None:
@@ -694,29 +731,29 @@ def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
             (rng.randrange(1, 3 * n + 5), rng.randrange(1, 3 * n + 5))
             for _ in range(sample)
         ]
+    # each class polynomial once per distinct argument, cleared to integers
+    # over one denominator, so a row's lhs at a node is the integer
+    # sum(row * weights) over d and the per-row loop stays in integers
+    atx = _cleared(polysL, {x for x, _ in nodes})
+    aty = _cleared(polysR, {y for _, y in nodes})
+    atxy = _cleared(polysT, {x * y for x, y in nodes})
+    grid = []
+    for x0, y0 in nodes:
+        (dl, vl), (dr, vr) = atx[x0], aty[y0]
+        grid.append((x0, y0, dl * dr, [u * v for u in vl for v in vr], *atxy[x0 * y0]))
     seen: set = set()
     for p, c, row in zip(elements, classesT, rows):
         key = (tuple(row), c)
         if key in seen:
             continue
         seen.add(key)
-        tpoly = polysT[c]
-        for x0, y0 in nodes:
-            lhs = Fraction(0)
-            for a, pl in enumerate(polysL):
-                va = pl(x0)
-                if not va:
-                    continue
-                base = a * kr
-                for b, pr in enumerate(polysR):
-                    cnt = row[base + b]
-                    if cnt:
-                        lhs += cnt * va * pr(y0)
-            rhs = tpoly(Fraction(x0 * y0))
-            if lhs != rhs:
+        for x0, y0, d, weights, dt, vt in grid:
+            acc = sum(map(mul, row, weights))
+            if acc * dt != vt[c] * d:
                 return {
                     "ok": False,
-                    "counterexample": (list(p), format_rational(lhs), format_rational(rhs)),
+                    "counterexample": (list(p), format_rational(Fraction(acc, d)),
+                                       format_rational(Fraction(vt[c], dt))),
                     "node": [x0, y0],
                 }
     return {"ok": True, "counterexample": None, "node": None}

@@ -30,13 +30,15 @@ PEAK_RANK_MAX_N = 7
 
 
 def env_override() -> int | None:
+    """The PEAKLAB_MAX_N cap, or None when it is unset or empty.  A value
+    that is not an integer is an error, not a silent fall-back."""
     raw = os.environ.get("PEAKLAB_MAX_N")
     if not raw:
         return None
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise ValueError(f"PEAKLAB_MAX_N must be an integer, not {raw!r}") from None
 
 
 def check_limit(what: str, n: int, default_max: int, force: bool = False) -> None:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from peaklab import cli, limits
 from peaklab.cli import main
 from peaklab.groupalgebra import all_theorem_ids, idempotent_powers
 
@@ -110,12 +111,46 @@ def test_verify_sample_below_one_exits_two(capsys, sample):
     ("peak-table", "-n", "0"),
     ("peak-table", "-n", "-2"),
     ("verify", "--theorem", "bpeeul1", "-n", "0"),
-    ("verify", "--all", "-n", "0"),
 ])
 def test_nonpositive_n_exits_two(capsys, argv):
     code, payload, err = run(capsys, *argv)
     assert code == 2 and payload is None
     assert "need n >= 1" in err
+
+
+def test_verify_all_reports_each_refusal(capsys):
+    # the peak-polynomial checks refuse n = 0; the others still run
+    code, payload, err = run(capsys, "verify", "--all", "-n", "0")
+    assert code == 2 and err == ""
+    results = {r["theorem"]: r for r in payload["results"]}
+    assert sorted(results) == all_theorem_ids() and payload["checked"] == 44
+    assert results["bpeeul1"] == {"theorem": "bpeeul1", "n": 0, "ok": None,
+                                  "refused": "need n >= 1"}
+    assert results["gf_B"]["ok"] is True
+    assert payload["failed"] == 0
+
+
+@pytest.mark.parametrize("ids,n,code", [
+    (["ges"], 3, 0),
+    (["ges", "gf_B"], 0, 2),
+    (["chow", "ges"], 3, 3),
+    (["chow", "nope"], 3, 3),
+    (["chow", "nope", "phi_times_rho"], 3, 1),
+])
+def test_verify_all_exit_rule(capsys, monkeypatch, ids, n, code):
+    # 1 if a check that ran failed, else 3 for a guard, else 2 for an input
+    monkeypatch.setattr(cli, "all_theorem_ids", lambda: ids)
+    monkeypatch.setitem(limits.VERIFY_MAX, "B", 2)
+    got, payload, err = run(capsys, "verify", "--all", "-n", str(n))
+    assert got == code and err == ""
+    assert [r["theorem"] for r in payload["results"]] == ids
+
+
+def test_invalid_max_n_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("PEAKLAB_MAX_N", "x")
+    code, payload, err = run(capsys, "verify", "--theorem", "ges", "-n", "3")
+    assert code == 2 and payload is None
+    assert "PEAKLAB_MAX_N must be an integer, not 'x'" in err
 
 
 def test_guard_override_with_force(capsys):

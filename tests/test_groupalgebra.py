@@ -26,7 +26,7 @@ from peaklab import (
     verify_identity,
     all_theorem_ids,
 )
-from peaklab import limits, perms
+from peaklab import groupalgebra, limits, perms
 from peaklab.perms import eta, identity_perm, symmetric_group, hyperoctahedral_group
 
 
@@ -312,3 +312,73 @@ def test_sampled_product_check_past_the_table_guard(monkeypatch):
     monkeypatch.setattr(perms, "SYMMETRIC_ITER_MAX", 3)
     with pytest.raises(ResourceLimitError, match="symmetric group iteration"):
         verify_identity(4, "ges", sample=2)
+
+
+def test_invalid_max_n_is_an_error(monkeypatch):
+    monkeypatch.setenv("PEAKLAB_MAX_N", "x")
+    with pytest.raises(ValueError, match="PEAKLAB_MAX_N must be an integer, not 'x'"):
+        limits.env_override()
+    with pytest.raises(ValueError, match="PEAKLAB_MAX_N"):
+        family_labels("descent_num", 3)
+    monkeypatch.setenv("PEAKLAB_MAX_N", "")
+    assert limits.env_override() is None
+
+
+# --- the factorization-count tensor against a brute-force oracle ---------------------
+
+
+def _brute_counts(group, n, famL, famR):
+    """Counts of sigma tau = pi by (class of sigma, class of tau), from every
+    pair, composed here with perms.compose."""
+    elements = list((symmetric_group if group == "S" else hyperoctahedral_group)(n))
+    classify_l = groupalgebra.CLASS_FAMILIES[famL][1]
+    classify_r = groupalgebra.CLASS_FAMILIES[famR][1]
+    labels_l = sorted({classify_l(p) for p in elements})
+    labels_r = sorted({classify_r(p) for p in elements})
+    kr = len(labels_r)
+    rows = {p: [0] * (len(labels_l) * kr) for p in elements}
+    for sigma in elements:
+        a = labels_l.index(classify_l(sigma))
+        for tau in elements:
+            rows[perms.compose(sigma, tau)][a * kr + labels_r.index(classify_r(tau))] += 1
+    return [rows[p] for p in elements]
+
+
+def _tensor_pairs():
+    pairs = set()
+    for triples in groupalgebra._PRODUCT_THEOREMS.values():
+        for famL, famR, _ in triples:
+            famL, famR = (groupalgebra.STRUCTURE_FAMILIES[f][3] for f in (famL, famR))
+            pairs.add((groupalgebra.CLASS_FAMILIES[famL][0], famL, famR))
+    for fam in groupalgebra._CONSTANT_FAMILIES:
+        pairs.add((groupalgebra.CLASS_FAMILIES[fam][0], fam, fam))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("group,famL,famR", _tensor_pairs())
+def test_factor_counts_match_brute_force(group, famL, famR):
+    for n in range(1, 6) if group == "S" else range(1, 4):
+        got = groupalgebra._factor_counts(group, n, famL, famR)
+        assert got == _brute_counts(group, n, famL, famR), (n, famL, famR)
+
+
+def test_factor_counts_match_brute_force_at_b4():
+    got = groupalgebra._factor_counts("B", 4, "B_peak_sign_num", "B_cyclic_descent_num")
+    assert got == _brute_counts("B", 4, "B_peak_sign_num", "B_cyclic_descent_num")
+
+
+@pytest.mark.parametrize("group,n,fam", [("S", 5, "descent_num"), ("B", 4, "B_descent_num")])
+def test_factor_counts_compose_per_sign_not_per_pair(monkeypatch, group, n, fam):
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return perms.compose(a, b)
+
+    monkeypatch.setattr(groupalgebra, "compose", counting)
+    groupalgebra._factor_counts(group, n, fam, fam)
+    size = len(perms.iterate_group(group, n))
+    # one product per (element, diagonal sign element), never one per pair;
+    # this is within n * 2^n * |G|
+    assert 0 < calls <= (2 ** n if group == "B" else 1) * size < size ** 2
