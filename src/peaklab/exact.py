@@ -26,8 +26,6 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
-Q = Fraction
-
 
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):

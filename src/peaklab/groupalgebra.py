@@ -687,9 +687,9 @@ def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
 
 
 def _pair_rows(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
-    """The factorization counts of two structure families' class families,
-    cached for the grid checks."""
-    key = (group, n, STRUCTURE_FAMILIES[famL][3], STRUCTURE_FAMILIES[famR][3])
+    """_factor_counts over two class families, cached for the product-grid
+    checks and qsym's bipartite checks."""
+    key = (group, n, famL, famR)
     got = _rows_cache.get(key)
     if got is None:
         got = _rows_cache[key] = _factor_counts(*key)
@@ -720,7 +720,7 @@ def _check_product(group: str, n: int, famL: str, famR: str, famT: str,
     polysR = _class_polys(famR, n, force)
     polysT = _class_polys(famT, n, force)
     _, classesT, _ = _class_table(STRUCTURE_FAMILIES[famT][3], n, force)
-    rows = _pair_rows(group, n, famL, famR)
+    rows = _pair_rows(group, n, STRUCTURE_FAMILIES[famL][3], STRUCTURE_FAMILIES[famR][3])
     degx = max(p.degree for p in polysL)
     degy = max(p.degree for p in polysR)
     if sample is None:

@@ -51,5 +51,6 @@ def check_limit(what: str, n: int, default_max: int, force: bool = False) -> Non
     if n > cap:
         raise ResourceLimitError(
             f"{what}: n={n} exceeds the size guard {cap} "
-            f"(set PEAKLAB_MAX_N or pass force=True to override)"
+            f"(to override, set PEAKLAB_MAX_N, pass force=True in Python or --force "
+            f"on the command line)"
         )

@@ -13,9 +13,11 @@ identities can be compared as honest polynomials.
 
 The bipartite checks compare a chain enumerator over a product alphabet
 with the convolution of single-alphabet enumerators over all two-factor
-factorizations of the permutation.  These are the comultiplication rules
-dual to the class-sum products in groupalgebra; coalgebra_constants
-exposes that duality directly.
+factorizations of the permutation.  Each single-alphabet enumerator is
+constant on a class of a set-valued family, so the convolution reads the
+class-pair factorization counts that groupalgebra also uses for the
+class-sum products: comultiplication and multiplication share one tensor,
+and coalgebra_constants exposes that duality directly.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import groupalgebra
 from .exact import MultiPoly, as_fraction, basis_insert, format_rational
 from .limits import (
     BIPARTITE_MAX_N,
@@ -32,14 +35,7 @@ from .limits import (
     PEAK_RANK_MAX_N,
     check_limit,
 )
-from .perms import (
-    STATISTICS,
-    compose,
-    inverse,
-    iterate_group,
-    positions,
-    validate_perm,
-)
+from .perms import STATISTICS, iterate_group, positions, validate_perm
 from .posets import (
     b_enriched_alphabet,
     chain_weight_sum,
@@ -447,70 +443,86 @@ def peak_basis_rank(n: int, family: str = "interior", force: bool = False) -> in
 
 # --- bipartite product identities -------------------------------------------------
 
-# Each equation: (first, second, product mode, anchored, sigma, tau) where
-# sigma and tau give (alphabet builder, variable block) for the factors of
-# sigma*tau = pi.  Block 0 is the first p+1 slots, block 1 the rest.  One
-# rule covers every flavor: the left factor sigma realizes over the second
-# coordinate and the right factor tau over the first.  The second
-# coordinate of an admissible grid chain forms sigma's partitions while
-# the first follows sigma^-1 pi, so the pairing is forced; transposing it
-# fails on three letters for the plain and signed products and on four
-# letters for the rest.
-_BIPARTITE = {
-    "gesA": [
-        (ordinary_alphabet, ordinary_alphabet, "lex", False,
-         (ordinary_alphabet, 1), (ordinary_alphabet, 0)),
-    ],
-    "interior": [
-        (enriched_alphabet, enriched_alphabet, "updown", False,
-         (enriched_alphabet, 1), (enriched_alphabet, 0)),
-    ],
-    "left": [
-        (left_enriched_alphabet, left_enriched_alphabet, "updown", False,
-         (left_enriched_alphabet, 1), (left_enriched_alphabet, 0)),
-    ],
-    "B": [
-        (b_enriched_alphabet, b_enriched_alphabet, "updown", True,
-         (b_enriched_alphabet, 1), (b_enriched_alphabet, 0)),
-    ],
-    "peakideal_mixed": [
-        (enriched_alphabet, left_enriched_alphabet, "updown", False,
-         (left_enriched_alphabet, 1), (enriched_alphabet, 0)),
-        (left_enriched_alphabet, enriched_alphabet, "updown", False,
-         (enriched_alphabet, 1), (left_enriched_alphabet, 0)),
-    ],
-    "interiordescent_mixed": [
-        (ordinary_alphabet, enriched_alphabet, "lex", False,
-         (enriched_alphabet, 1), (ordinary_alphabet, 0)),
-    ],
+# alphabet builder -> the set-valued class family on which its single-alphabet
+# chain enumerator is constant; their class-pair counts comultiply
+_ENUMERATOR_FAMILY = {
+    ordinary_alphabet: "descent_set",
+    enriched_alphabet: "peak_interior_set",
+    left_enriched_alphabet: "peak_left_set",
+    b_enriched_alphabet: "B_peak_sign_set",
 }
 
-_product_cache: dict = {}
-_factor_cache: dict = {}
+# flavor -> equations (first, second, product mode).  In sigma*tau = pi the
+# left factor sigma realizes over the second alphabet (q letters, slots p+1
+# on) and tau over the first (p letters, slots 0..p): the second coordinate
+# of an admissible grid chain forms sigma's partitions while the first
+# follows sigma^-1 pi.  Transposing the pairing fails on three letters for
+# the plain and signed products and on four letters for the rest.  The
+# right-hand side reads the class-pair counts of groupalgebra._pair_rows.
+_BIPARTITE = {
+    "gesA": [(ordinary_alphabet, ordinary_alphabet, "lex")],
+    "interior": [(enriched_alphabet, enriched_alphabet, "updown")],
+    "left": [(left_enriched_alphabet, left_enriched_alphabet, "updown")],
+    "B": [(b_enriched_alphabet, b_enriched_alphabet, "updown")],
+    "peakideal_mixed": [
+        (enriched_alphabet, left_enriched_alphabet, "updown"),
+        (left_enriched_alphabet, enriched_alphabet, "updown"),
+    ],
+    "interiordescent_mixed": [(ordinary_alphabet, enriched_alphabet, "lex")],
+}
+
+_equation_cache: dict = {}
 
 
-def _product_alpha(firstb, p: int, secondb, q: int, mode: str):
-    key = (firstb.__name__, p, secondb.__name__, q, mode)
-    if key not in _product_cache:
-        _product_cache[key] = product_alphabet(firstb(p), secondb(q), mode)
-    return _product_cache[key]
+def _factor_table(builder, k: int, n: int, arity: int, offset: int,
+                  force: bool) -> list[MultiPoly]:
+    """One embedded single-alphabet enumerator per class of the builder's
+    family, in label order.  Every element's enumerator is computed, and one
+    that differs from its class representative's raises AssertionError."""
+    family = _ENUMERATOR_FAMILY[builder]
+    group = groupalgebra.CLASS_FAMILIES[family][0]
+    labels, classes, first = groupalgebra._class_table(family, n, force)
+    elements = iterate_group(group, n, force)
+    alpha = builder(k)
+    polys = [chain_weight_sum(alpha, g, anchored=group == "B", mode="poly") for g in elements]
+    for g, c, poly in zip(elements, classes, polys):
+        if poly != polys[first[c]]:
+            raise AssertionError(f"the {builder.__name__}({k}) enumerator of {list(g)} "
+                                 f"differs from that of its {family} class {labels[c]!r}")
+    return [polys[i].embed(arity, offset) for i in first]
 
 
-def _factor_table(builder, k: int, group: str, n: int, anchored: bool,
-                  arity: int, offset: int, force: bool) -> dict:
-    """Embedded single-alphabet enumerators for a whole group, cached."""
-    key = (builder.__name__, k, group, n, anchored, arity, offset)
-    if key not in _factor_cache:
-        alpha = builder(k)
-        _factor_cache[key] = {
-            g: chain_weight_sum(alpha, g, anchored=anchored, mode="poly").embed(arity, offset)
-            for g in iterate_group(group, n, force)
-        }
-    return _factor_cache[key]
+def _equation(firstb, secondb, mode: str, p: int, q: int, n: int, force: bool):
+    """One equation's product alphabet, the per-class enumerators G of sigma
+    over the second alphabet and F of tau over the first; cached."""
+    key = (firstb.__name__, secondb.__name__, mode, p, q, n)
+    got = _equation_cache.get(key)
+    if got is None:
+        got = _equation_cache[key] = (product_alphabet(firstb(p), secondb(q), mode),
+                                      _factor_table(secondb, q, n, p + q + 2, p + 1, force),
+                                      _factor_table(firstb, p, n, p + q + 2, 0, force))
+    return got
+
+
+def _first_difference(a: MultiPoly, b: MultiPoly):
+    """None when a == b, else the least monomial where they differ, with
+    both coefficients."""
+    if a == b:
+        return None
+    for exps in sorted(set(a.terms) | set(b.terms)):
+        x = a.terms.get(exps, Fraction(0))
+        y = b.terms.get(exps, Fraction(0))
+        if x != y:
+            return exps, x, y
 
 
 def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
-    """None when every listed identity holds at pi, else the first mismatch."""
+    """None when every listed identity holds at pi, else the first mismatch.
+
+    The left-hand side is the chain enumerator of pi over the product
+    alphabet; the right-hand side is sum over a of G_a * (sum over b of
+    N_pi(a, b) F_b), with N the factorization counts over the two builders'
+    class families."""
     if flavor not in _BIPARTITE:
         raise ValueError(f"unknown bipartite flavor {flavor!r}")
     group = "B" if flavor == "B" else "S"
@@ -520,25 +532,22 @@ def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
     check_limit("bipartite alphabet size", max(p, q), BIPARTITE_MAX_VARS, force)
     if min(p, q) < 1:
         raise ValueError("need at least one variable per side")
-    elems = iterate_group(group, n, force)
-    arity = p + q + 2
-    for firstb, secondb, mode, anchored, (sigb, sblock), (taub, tblock) in _BIPARTITE[flavor]:
-        lhs = chain_weight_sum(
-            _product_alpha(firstb, p, secondb, q, mode), perm, anchored=anchored, mode="poly"
-        )
-        sig_tab = _factor_table(sigb, p if sblock == 0 else q, group, n, anchored,
-                                arity, 0 if sblock == 0 else p + 1, force)
-        tau_tab = _factor_table(taub, p if tblock == 0 else q, group, n, anchored,
-                                arity, 0 if tblock == 0 else p + 1, force)
-        rhs = MultiPoly.zero(arity)
-        for tau in elems:
-            rhs = rhs + sig_tab[compose(perm, inverse(tau))] * tau_tab[tau]
-        if lhs != rhs:
-            for exps in sorted(set(lhs.terms) | set(rhs.terms)):
-                a = lhs.terms.get(exps, Fraction(0))
-                b = rhs.terms.get(exps, Fraction(0))
-                if a != b:
-                    return exps, a, b
+    at = iterate_group(group, n, force).index(perm)
+    for firstb, secondb, mode in _BIPARTITE[flavor]:
+        alpha, sig, tau = _equation(firstb, secondb, mode, p, q, n, force)
+        lhs = chain_weight_sum(alpha, perm, anchored=group == "B", mode="poly")
+        row = groupalgebra._pair_rows(group, n, _ENUMERATOR_FAMILY[secondb],
+                                      _ENUMERATOR_FAMILY[firstb])[at]
+        rhs = MultiPoly.zero(p + q + 2)
+        for a, g in enumerate(sig):
+            h = MultiPoly.zero(p + q + 2)
+            for count, f in zip(row[a * len(tau):], tau):
+                if count:
+                    h = h + f * count
+            rhs = rhs + g * h
+        diff = _first_difference(lhs, rhs)
+        if diff is not None:
+            return diff
     return None
 
 
@@ -554,12 +563,7 @@ def bipartite_check(pi, flavor: str, p: int, q: int, force: bool = False) -> boo
 
 # --- coalgebra duality -----------------------------------------------------------
 
-COALGEBRA_FAMILIES = (
-    "descent_set",
-    "peak_interior_set",
-    "peak_left_set",
-    "B_peak_sign_set",
-)
+COALGEBRA_FAMILIES = tuple(_ENUMERATOR_FAMILY.values())
 
 
 def coalgebra_constants(n: int, family: str, force: bool = False) -> dict:
@@ -574,8 +578,6 @@ def coalgebra_constants(n: int, family: str, force: bool = False) -> dict:
     """
     if family not in COALGEBRA_FAMILIES:
         raise ValueError(f"no coalgebra for family {family!r}")
-    from . import groupalgebra
-
     return groupalgebra.structure_constants(n, family, force)
 
 
@@ -601,21 +603,18 @@ def _expansion_sweep(which: str, n: int, force: bool) -> dict:
             spread = delta_expansion(g, flavor, basis)
             for m in (1, 2, 3):
                 got = truncate_realize(spread, m, force)
-                want = truncated_enumerator(g, flavor, m, force)
-                if got != want:
-                    for exps in sorted(set(got.terms) | set(want.terms)):
-                        a = got.terms.get(exps, Fraction(0))
-                        b = want.terms.get(exps, Fraction(0))
-                        if a != b:
-                            return {
-                                "ok": False,
-                                "counterexample": (
-                                    list(g),
-                                    f"{flavor} {basis} realization, m={m}, "
-                                    f"monomial {exps}: {format_rational(a)}",
-                                    format_rational(b),
-                                ),
-                            }
+                diff = _first_difference(got, truncated_enumerator(g, flavor, m, force))
+                if diff is not None:
+                    exps, a, b = diff
+                    return {
+                        "ok": False,
+                        "counterexample": (
+                            list(g),
+                            f"{flavor} {basis} realization, m={m}, "
+                            f"monomial {exps}: {format_rational(a)}",
+                            format_rational(b),
+                        ),
+                    }
     return {"ok": True, "counterexample": None}
 
 

@@ -153,6 +153,18 @@ def test_invalid_max_n_exits_two(capsys, monkeypatch):
     assert "PEAKLAB_MAX_N must be an integer, not 'x'" in err
 
 
+def test_refusal_names_both_overrides(capsys, monkeypatch):
+    with pytest.raises(limits.ResourceLimitError) as exc:
+        limits.check_limit("S-group table", 9, 6)
+    overrides = "pass force=True in Python or --force on the command line"
+    assert overrides in str(exc.value)
+    code, _, err = run(capsys, "verify", "--theorem", "ges", "-n", "9")
+    assert code == 3 and overrides in err
+    monkeypatch.setattr(cli, "all_theorem_ids", lambda: ["gf_B"])
+    code, payload, _ = run(capsys, "verify", "--all", "-n", "5")
+    assert code == 3 and overrides in payload["results"][0]["refused"]
+
+
 def test_guard_override_with_force(capsys):
     # n=7 is past the default S-group sweep guard; --force accepts the cost
     code, payload, _ = run(

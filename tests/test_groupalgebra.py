@@ -352,6 +352,10 @@ def _tensor_pairs():
             pairs.add((groupalgebra.CLASS_FAMILIES[famL][0], famL, famR))
     for fam in groupalgebra._CONSTANT_FAMILIES:
         pairs.add((groupalgebra.CLASS_FAMILIES[fam][0], fam, fam))
+    # the mixed pairs the bipartite checks read
+    pairs |= {("S", "peak_left_set", "peak_interior_set"),
+              ("S", "peak_interior_set", "peak_left_set"),
+              ("S", "peak_interior_set", "descent_set")}
     return sorted(pairs)
 
 

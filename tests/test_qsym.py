@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import peaklab
-from peaklab import qsym
+from peaklab import groupalgebra, qsym
 
 from peaklab import (
     QsymExpansion,
@@ -28,7 +28,17 @@ from peaklab import (
     truncate_realize,
     truncated_enumerator,
 )
-from peaklab.perms import b_peak_mask, hyperoctahedral_group, peak_mask, sign_mask, symmetric_group
+from peaklab.exact import MultiPoly
+from peaklab.perms import (
+    b_peak_mask,
+    compose,
+    hyperoctahedral_group,
+    inverse,
+    peak_mask,
+    sign_mask,
+    symmetric_group,
+)
+from peaklab.posets import chain_weight_sum, ordinary_alphabet, product_alphabet
 from peaklab.qsym import (
     COALGEBRA_FAMILIES,
     _submasks,
@@ -266,6 +276,61 @@ def test_bipartite_smoke():
         bipartite_check((1, 2, 3, 4, 5), "gesA", 2, 2)
     with pytest.raises(ResourceLimitError):
         bipartite_check((1, 2), "gesA", 4, 2)
+
+
+@pytest.mark.parametrize("flavor", sorted(qsym._BIPARTITE))
+def test_product_enumerator_matches_per_tau_convolution(flavor):
+    # brute force: sum over every tau of the enumerator of pi tau^-1 over the
+    # second alphabet times that of tau over the first
+    signed = flavor == "B"
+    p, q = 2, 2
+    arity = p + q + 2
+    for n in (1, 2, 3):
+        elements = list((hyperoctahedral_group if signed else symmetric_group)(n))
+        for first, second, mode in qsym._BIPARTITE[flavor]:
+            over_second = {g: chain_weight_sum(second(q), g, anchored=signed, mode="poly")
+                           .embed(arity, p + 1) for g in elements}
+            over_first = {g: chain_weight_sum(first(p), g, anchored=signed, mode="poly")
+                          .embed(arity, 0) for g in elements}
+            alpha = product_alphabet(first(p), second(q), mode)
+            for pi in elements:
+                want = MultiPoly.zero(arity)
+                for tau in elements:
+                    want = want + over_second[compose(pi, inverse(tau))] * over_first[tau]
+                got = chain_weight_sum(alpha, pi, anchored=signed, mode="poly")
+                assert got == want, (flavor, first.__name__, pi)
+
+
+@pytest.mark.parametrize("flavor", sorted(set(qsym._BIPARTITE) - {"B"}))
+def test_bipartite_check_fails_on_a_wrong_tensor(monkeypatch, flavor):
+    # every pi reads the identity's factorization counts
+    real = groupalgebra._pair_rows
+    monkeypatch.setattr(groupalgebra, "_pair_rows",
+                        lambda *key: [real(*key)[0]] * len(real(*key)))
+    assert any(not bipartite_check(pi, flavor, 2, 2) for pi in symmetric_group(3))
+
+
+def test_factor_table_rejects_a_coarser_family(monkeypatch):
+    monkeypatch.setitem(qsym._ENUMERATOR_FAMILY, ordinary_alphabet, "descent_num")
+    monkeypatch.setattr(qsym, "_equation_cache", {})
+    with pytest.raises(AssertionError, match="ordinary_alphabet.*descent_num"):
+        bipartite_check((1, 3, 2), "gesA", 2, 2)
+
+
+@pytest.mark.parametrize("check", sorted(c for c, f in qsym._GF_FLAVORS.items() if f != "B"))
+def test_bipartite_sweep_composes_per_element_not_per_pair(monkeypatch, check):
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(groupalgebra, "compose", counting)
+    monkeypatch.setattr(groupalgebra, "_rows_cache", {})
+    assert verify_hook(check, 4)["ok"]
+    equations = len(qsym._BIPARTITE[qsym._GF_FLAVORS[check]])
+    assert 0 < calls <= equations * len(list(symmetric_group(4)))
 
 
 def test_coalgebra_constants_duality():
