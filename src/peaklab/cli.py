@@ -35,6 +35,7 @@ from .groupalgebra import (
 )
 from .limits import ResourceLimitError
 from .orderpolys import (
+    IDENTITIES_43,
     ORDER_POLY_KINDS,
     enriched_gf,
     identity_check_43,
@@ -73,10 +74,6 @@ def _plain(obj):
     return obj
 
 
-def _poly_strings(poly) -> list[str]:
-    return [format_rational(c) for c in poly.coeffs]
-
-
 def _cmd_stats(args) -> tuple[int, dict]:
     perm = _parse_perm(args.perm)
     if args.signed:
@@ -101,7 +98,7 @@ def _cmd_stats(args) -> tuple[int, dict]:
 def _cmd_order_poly(args) -> tuple[int, dict]:
     perm = _parse_perm(args.perm)
     poly = order_polynomial(perm, args.kind)
-    out = {"kind": args.kind, "perm": perm, "poly": _poly_strings(poly)}
+    out = {"kind": args.kind, "perm": perm, "poly": poly.to_strings()}
     if args.gf:
         out["gf"] = enriched_gf(perm, args.kind).to_json()
     return 0, out
@@ -186,21 +183,20 @@ _PEAK_TABLE_KINDS = (
     "W_plus",
     "W_minus",
 )
-_43_IDENTITIES = ("augeul", "peeul1", "peeul2", "bpeeul1", "bpeeul2")
 
 
 def _cmd_peak_table(args) -> tuple[int, dict]:
     polys = {
-        kind: _poly_strings(peak_polynomial(args.n, kind, force=args.force))
+        kind: peak_polynomial(args.n, kind, force=args.force).to_strings()
         for kind in _PEAK_TABLE_KINDS
     }
     weighted = [
-        _poly_strings(peak_polynomial(args.n, "W_weighted", i=i, force=args.force))
+        peak_polynomial(args.n, "W_weighted", i=i, force=args.force).to_strings()
         for i in range(args.n + 1)
     ]
     identities = {
         which: identity_check_43(args.n, which, force=args.force)
-        for which in _43_IDENTITIES
+        for which in IDENTITIES_43
     }
     code = 0 if all(identities.values()) else 1
     return code, {

@@ -24,8 +24,15 @@ from math import lcm
 from operator import add, mul
 
 from .exact import UniPoly, as_fraction, basis_insert, format_rational, interpolate, reduce_row
-from .limits import VERIFY_MAX, ResourceLimitError, check_limit
-from .orderpolys import ORDER_POLY_KINDS, order_polynomial, reciprocity_check, identity_check_43
+from .limits import VERIFY_MAX, ResourceLimitError, check_limit, memo
+from .orderpolys import (
+    _ENRICHED_KINDS,
+    IDENTITIES_43,
+    ORDER_POLY_KINDS,
+    identity_check_43,
+    order_polynomial,
+    reciprocity_check,
+)
 from .perms import (
     STATISTICS,
     compose,
@@ -238,25 +245,21 @@ CLASS_FAMILIES = {
 # the name the right-peak closure failure is stated under
 CLASS_FAMILIES["right_peak_num"] = CLASS_FAMILIES["peak_right_num"]
 
-_class_tables: dict = {}
-
-
 def _class_table(family: str, n: int, force: bool):
     """The family's partition of iterate_group(group, n): the sorted realized
     labels, each element's class index and the index of each class's first
     element.  Built once per (family, n); the group's guard runs every call."""
     group, classify = CLASS_FAMILIES[family]
     elements = iterate_group(group, n, force)
-    key = (family, n)
-    got = _class_tables.get(key)
-    if got is None:
+
+    def build():
         values = [classify(p) for p in elements]
         labels = tuple(sorted(set(values)))
         index = {lab: i for i, lab in enumerate(labels)}
         classes = [index[v] for v in values]
-        first = [classes.index(c) for c in range(len(labels))]
-        got = _class_tables[key] = (labels, classes, first)
-    return got
+        return labels, classes, [classes.index(c) for c in range(len(labels))]
+
+    return memo("class_tables", (family, n), build)
 
 
 def family_labels(family: str, n: int, force: bool = False) -> list:
@@ -339,21 +342,14 @@ def idempotent_powers(n: int, family: str) -> list[int]:
     return list(range(n % 2, n + 1, 2))
 
 
-_class_polys_cache: dict = {}
-
-
 def _class_polys(family: str, n: int, force: bool) -> list[UniPoly]:
     """Coefficient polynomial shared by every element of each class, in
     label order, already composed with the family's argument substitution."""
     group, kind, subst, class_family = STRUCTURE_FAMILIES[family]
     _, _, first = _class_table(class_family, n, force)
-    key = (family, n)
-    got = _class_polys_cache.get(key)
-    if got is None:
-        elements = iterate_group(group, n, force)
-        got = [order_polynomial(elements[i], kind).compose(subst) for i in first]
-        _class_polys_cache[key] = got
-    return got
+    elements = iterate_group(group, n, force)
+    return memo("class_polys", (family, n), lambda: [
+        order_polynomial(elements[i], kind).compose(subst) for i in first])
 
 
 def structure_polynomial(n: int, family: str, force: bool = False) -> GAPoly:
@@ -643,9 +639,6 @@ _PRODUCT_THEOREMS = {
     "phi_times_rho": [("phi", "rho", "rho")],
 }
 
-_rows_cache: dict = {}
-
-
 def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     """For each pi: counts of factorizations sigma tau = pi bucketed by
     (class of sigma under class family famL, class of tau under famR), one
@@ -689,11 +682,7 @@ def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
 def _pair_rows(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     """_factor_counts over two class families, cached for the product-grid
     checks and qsym's bipartite checks."""
-    key = (group, n, famL, famR)
-    got = _rows_cache.get(key)
-    if got is None:
-        got = _rows_cache[key] = _factor_counts(*key)
-    return got
+    return memo("pair_rows", (group, n, famL, famR), lambda: _factor_counts(group, n, famL, famR))
 
 
 def _cleared(polys: list[UniPoly], args) -> dict:
@@ -843,15 +832,10 @@ for _tid in _PRODUCT_THEOREMS:
         "run": (lambda tid: lambda n, force, sample: _run_product(tid, n, force, sample))(_tid),
         "expected": _expect_small if _tid == "phi_times_rho" else _expect_true,
     }
-for _kind, _rid in (
-    ("enriched_interior", "recip_interior"),
-    ("enriched_left", "recip_left"),
-    ("enriched_right", "recip_right"),
-    ("enriched_exterior", "recip_exterior"),
-    ("enriched_B", "recip_B"),
-):
-    THEOREMS[_rid] = {"run": _run_recip(_kind), "expected": _expect_true}
-for _which in ("augeul", "peeul1", "peeul2", "bpeeul1", "bpeeul2"):
+for _kind in _ENRICHED_KINDS:
+    THEOREMS["recip_" + _kind.removeprefix("enriched_")] = {
+        "run": _run_recip(_kind), "expected": _expect_true}
+for _which in IDENTITIES_43:
     THEOREMS[_which] = {"run": _run_43(_which), "expected": _expect_true}
 THEOREMS["right_peak_num_closure"] = {"run": _run_closure_negative, "expected": _expect_small}
 THEOREMS["right_peak_set_constants"] = {"run": _run_constants_negative, "expected": _expect_small}

@@ -1,10 +1,18 @@
-"""Size guards for group sweeps and enumeration oracles.
+"""Size guards for group sweeps and enumeration oracles, and the one cache
+registry behind them.
 
 Everything in this package is exact, so the only thing standing between a
 user and a week-long computation is the size of the group being swept.
 Guards are soft: the PEAKLAB_MAX_N environment variable raises (or lowers)
 every cap at once, and most entry points take ``force=True`` to bypass the
 check entirely.
+
+Class-level data (group tuples, class partitions, class polynomials,
+factorization counts, per-class enumerators, realizations) is built once
+per process and kept in ``_CACHES``, one dict per cache name, filled only
+by ``memo``.  Each caller runs its size guard before its ``memo`` call, so
+a value that a forced call cached never lifts the guard for a later
+unforced one.
 """
 
 from __future__ import annotations
@@ -54,3 +62,15 @@ def check_limit(what: str, n: int, default_max: int, force: bool = False) -> Non
             f"(to override, set PEAKLAB_MAX_N, pass force=True in Python or --force "
             f"on the command line)"
         )
+
+
+_CACHES: dict[str, dict] = {}
+
+
+def memo(name: str, key, build):
+    """The value cached under key in the named cache, made by build() on the
+    first request.  The caller checks its size guard first."""
+    cache = _CACHES.setdefault(name, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]

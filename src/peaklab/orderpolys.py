@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RationalGF, UniPoly, binom_poly, interpolate
+from .limits import memo
 from .perms import STATISTICS, iterate_group, validate_perm
 from .posets import IMAGE_SET_KINDS, chain_weight_sum
 
@@ -67,30 +68,28 @@ def class_gf(kind: str, n: int, params: tuple) -> RationalGF:
     return RationalGF(num, den)
 
 
-_class_cache: dict[tuple, UniPoly] = {}
-
-
 def _enriched_poly(pi, kind: str) -> UniPoly:
+    """The polynomial of pi's class, cached per (kind, n, class parameters):
+    the class fixes the polynomial, so pi is not part of the key."""
     group, image_kind, stat = ORDER_POLY_KINDS[kind]
     n = len(pi)
     params = stat(pi)
-    key = (kind, n, params)
-    got = _class_cache.get(key)
-    if got is not None:
-        return got
-    build = IMAGE_SET_KINDS[image_kind]
-    anchored = group == "B"
-    counts = [chain_weight_sum(build(k), pi, anchored=anchored) for k in range(n + 3)]
-    poly = interpolate(list(enumerate(counts[: n + 1])))
-    series = class_gf(kind, n, params).coeffs(n + 3)
-    for k in range(n + 3):
-        if series[k] != counts[k] or poly(k) != counts[k]:
-            raise AssertionError(
-                f"{kind} closed form disagrees with enumeration at n={n}, "
-                f"class {params}, k={k}: series {series[k]}, oracle {counts[k]}"
-            )
-    _class_cache[key] = poly
-    return poly
+
+    def build() -> UniPoly:
+        alphabet = IMAGE_SET_KINDS[image_kind]
+        anchored = group == "B"
+        counts = [chain_weight_sum(alphabet(k), pi, anchored=anchored) for k in range(n + 3)]
+        poly = interpolate(list(enumerate(counts[: n + 1])))
+        series = class_gf(kind, n, params).coeffs(n + 3)
+        for k in range(n + 3):
+            if series[k] != counts[k] or poly(k) != counts[k]:
+                raise AssertionError(
+                    f"{kind} closed form disagrees with enumeration at n={n}, "
+                    f"class {params}, k={k}: series {series[k]}, oracle {counts[k]}"
+                )
+        return poly
+
+    return memo("enriched_polys", (kind, n, params), build)
 
 
 def order_polynomial(pi, kind: str) -> UniPoly:
@@ -213,6 +212,10 @@ def poly_at_gf(p: UniPoly, g: RationalGF) -> RationalGF:
     for c in reversed(p.coeffs):
         acc = acc * g + RationalGF.constant(c)
     return acc
+
+
+# the Section 4.3 identities, in the order peak-table reports them
+IDENTITIES_43 = ("augeul", "peeul1", "peeul2", "bpeeul1", "bpeeul2")
 
 
 def identity_check_43(n: int, which: str, force: bool = False) -> bool:

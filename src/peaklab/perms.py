@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .limits import check_limit, HYPEROCT_ITER_MAX, SYMMETRIC_ITER_MAX
+from .limits import check_limit, memo, HYPEROCT_ITER_MAX, SYMMETRIC_ITER_MAX
 
 Perm = tuple[int, ...]
 
@@ -295,18 +295,13 @@ def group_name(group: str) -> str:
         raise ValueError(f"unknown group {group!r}") from None
 
 
-_groups: dict[tuple[str, int], tuple[Perm, ...]] = {}
-
-
 def iterate_group(group: str, n: int, force: bool = False) -> tuple[Perm, ...]:
     """All of S_n or B_n in lexicographic order, as one tuple per group and
     size shared by every caller.  The guard runs on every call, so a forced
     call never lifts it for a later unforced one."""
     group = group_name(group)
     elements = (symmetric_group if group == "S" else hyperoctahedral_group)(n, force)
-    if (group, n) not in _groups:
-        _groups[group, n] = tuple(elements)
-    return _groups[group, n]
+    return memo("groups", (group, n), lambda: tuple(elements))
 
 
 def special_elements(n: int) -> dict:

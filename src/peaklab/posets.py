@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .exact import MultiPoly
 from .limits import IMAGE_SET_MAX_K, LINEXT_MAX, POSET_ORACLE_MAX_N, check_limit
-from .perms import Perm, hyperoctahedral_group, validate_perm
+from .perms import Perm, iterate_group, validate_perm
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,7 @@ class BPoset:
         """
         check_limit("signed linear extensions", self.n, LINEXT_MAX["B"], force)
         out = []
-        for pi in hyperoctahedral_group(self.n, force=True):
+        for pi in iterate_group("B", self.n, force=True):
             pos = {0: 0}
             for s, v in enumerate(pi, start=1):
                 pos[v] = s

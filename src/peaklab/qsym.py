@@ -17,7 +17,9 @@ factorizations of the permutation.  Each single-alphabet enumerator is
 constant on a class of a set-valued family, so the convolution reads the
 class-pair factorization counts that groupalgebra also uses for the
 class-sum products: comultiplication and multiplication share one tensor,
-and coalgebra_constants exposes that duality directly.
+and coalgebra_constants exposes that duality directly.  The per-class
+enumerators form one factor table per alphabet, shared by every equation
+that uses that alphabet.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .limits import (
     IMAGE_SET_MAX_K,
     PEAK_RANK_MAX_N,
     check_limit,
+    memo,
 )
 from .perms import STATISTICS, iterate_group, positions, validate_perm
 from .posets import (
@@ -326,9 +329,6 @@ def peak_function(n: int, index, family: str = "interior") -> QsymExpansion:
 
 # --- truncated realizations ------------------------------------------------------
 
-_realize_cache: dict = {}
-
-
 def _composition(n: int, mask: int) -> tuple[int, ...]:
     """Differences cut by the set positions, with outer boundaries 0 and n."""
     bounds = [0, *positions(mask), n]
@@ -363,29 +363,26 @@ def realize_basis(n: int, basis: str, index, m: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    key = (n, basis, index, m)
-    if key in _realize_cache:
-        return _realize_cache[key]
-    if basis == "M":
-        out = _realize_monomial(n, index, m, signed=False)
-    elif basis == "N":
-        out = _realize_monomial(n, index, m, signed=True)
-    elif basis in ("F", "L"):
-        signed = basis == "L"
-        universe = (1 << n) - 1 if signed else (1 << n) - 2
-        out = MultiPoly.zero(m + 1)
-        for extra in _submasks(universe & ~index):
-            out = out + _realize_monomial(n, index | extra, m, signed)
-    elif basis in ("K_A", "K_B"):
-        family = "interior" if basis == "K_A" else "B"
-        spread = peak_function(n, index, family)
-        out = MultiPoly.zero(m + 1)
-        for idx, c in spread.coeffs.items():
-            out = out + realize_basis(n, spread.basis, idx, m) * c
-    else:
+
+    def build() -> MultiPoly:
+        if basis in ("M", "N"):
+            return _realize_monomial(n, index, m, signed=basis == "N")
+        if basis in ("F", "L"):
+            signed = basis == "L"
+            universe = (1 << n) - 1 if signed else (1 << n) - 2
+            out = MultiPoly.zero(m + 1)
+            for extra in _submasks(universe & ~index):
+                out = out + _realize_monomial(n, index | extra, m, signed)
+            return out
+        if basis in ("K_A", "K_B"):
+            spread = peak_function(n, index, "interior" if basis == "K_A" else "B")
+            out = MultiPoly.zero(m + 1)
+            for idx, c in spread.coeffs.items():
+                out = out + realize_basis(n, spread.basis, idx, m) * c
+            return out
         raise ValueError(f"unknown basis {basis!r}")
-    _realize_cache[key] = out
-    return out
+
+    return memo("realizations", (n, basis, index, m), build)
 
 
 def truncate_realize(expansion: QsymExpansion, m: int, force: bool = False) -> MultiPoly:
@@ -471,37 +468,37 @@ _BIPARTITE = {
     "interiordescent_mixed": [(ordinary_alphabet, enriched_alphabet, "lex")],
 }
 
-_equation_cache: dict = {}
-
-
-def _factor_table(builder, k: int, n: int, arity: int, offset: int,
-                  force: bool) -> list[MultiPoly]:
-    """One embedded single-alphabet enumerator per class of the builder's
-    family, in label order.  Every element's enumerator is computed, and one
-    that differs from its class representative's raises AssertionError."""
+def _factor_table(builder, k: int, n: int, force: bool) -> list[MultiPoly]:
+    """One single-alphabet enumerator over builder(k) per class of the
+    builder's family, in label order; cached per (alphabet, k, n), so the
+    equations that share an alphabet share its table.  Every element's
+    enumerator is computed, and one that differs from its class
+    representative's raises AssertionError."""
     family = _ENUMERATOR_FAMILY[builder]
     group = groupalgebra.CLASS_FAMILIES[family][0]
     labels, classes, first = groupalgebra._class_table(family, n, force)
     elements = iterate_group(group, n, force)
-    alpha = builder(k)
-    polys = [chain_weight_sum(alpha, g, anchored=group == "B", mode="poly") for g in elements]
-    for g, c, poly in zip(elements, classes, polys):
-        if poly != polys[first[c]]:
-            raise AssertionError(f"the {builder.__name__}({k}) enumerator of {list(g)} "
-                                 f"differs from that of its {family} class {labels[c]!r}")
-    return [polys[i].embed(arity, offset) for i in first]
+
+    def build() -> list[MultiPoly]:
+        alpha = builder(k)
+        polys = [chain_weight_sum(alpha, g, anchored=group == "B", mode="poly") for g in elements]
+        for g, c, poly in zip(elements, classes, polys):
+            if poly != polys[first[c]]:
+                raise AssertionError(f"the {builder.__name__}({k}) enumerator of {list(g)} "
+                                     f"differs from that of its {family} class {labels[c]!r}")
+        return [polys[i] for i in first]
+
+    return memo("factor_tables", (builder.__name__, k, n), build)
 
 
 def _equation(firstb, secondb, mode: str, p: int, q: int, n: int, force: bool):
     """One equation's product alphabet, the per-class enumerators G of sigma
-    over the second alphabet and F of tau over the first; cached."""
-    key = (firstb.__name__, secondb.__name__, mode, p, q, n)
-    got = _equation_cache.get(key)
-    if got is None:
-        got = _equation_cache[key] = (product_alphabet(firstb(p), secondb(q), mode),
-                                      _factor_table(secondb, q, n, p + q + 2, p + 1, force),
-                                      _factor_table(firstb, p, n, p + q + 2, 0, force))
-    return got
+    over the second alphabet and F of tau over the first, embedded in the
+    product's p + q + 2 slots."""
+    arity = p + q + 2
+    return (product_alphabet(firstb(p), secondb(q), mode),
+            [g.embed(arity, p + 1) for g in _factor_table(secondb, q, n, force)],
+            [f.embed(arity, 0) for f in _factor_table(firstb, p, n, force)])
 
 
 def _first_difference(a: MultiPoly, b: MultiPoly):

@@ -1,0 +1,41 @@
+"""Design guards that keep the package to one home per decision."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import peaklab
+
+# Imports every peaklab module, records the size of each module-level
+# container, runs one call into each cached layer and prints every
+# container that grew.
+_PROBE = """
+import importlib, json, pkgutil
+import peaklab
+mods = [peaklab] + [importlib.import_module("peaklab." + m.name)
+                    for m in pkgutil.iter_modules(peaklab.__path__)]
+
+def sizes():
+    return {f"{mod.__name__}.{name}": len(value) for mod in mods
+            for name, value in vars(mod).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+before = sizes()
+peaklab.verify_identity(3, "interior_1")
+assert peaklab.bipartite_check((2, 1, 3), "interior", 2, 2)
+peaklab.truncate_realize(peaklab.delta_expansion((2, 1, 3), "interior", "fundamental"), 2)
+peaklab.order_polynomial((-2, 1, 3), "enriched_B")
+after = sizes()
+print(json.dumps(sorted(name for name in before if after[name] != before[name])))
+"""
+
+
+def test_limits_caches_is_the_only_module_cache():
+    env = {**os.environ, "PYTHONPATH": str(Path(peaklab.__file__).resolve().parents[1])}
+    env.pop("PEAKLAB_MAX_N", None)
+    proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["peaklab.limits._CACHES"]

@@ -10,6 +10,7 @@ from peaklab import (
     GAElem,
     GAPoly,
     ResourceLimitError,
+    bipartite_check,
     class_sum,
     cyclic_isomorphism_check,
     eulerian_number,
@@ -286,12 +287,28 @@ def test_sample_below_one_is_rejected(sample):
 
 
 def test_forced_call_does_not_lift_a_later_guard(monkeypatch):
+    # each memoized entry point: a forced call fills the cache, and the
+    # unforced call after it still meets the guard
+    monkeypatch.setattr(limits, "_CACHES", {})
     monkeypatch.setenv("PEAKLAB_MAX_N", "2")
+    assert len(perms.iterate_group("S", 3, force=True)) == 6
     assert family_labels("descent_num", 3, force=True) == [0, 1, 2]
-    with pytest.raises(ResourceLimitError):
-        family_labels("descent_num", 3)
-    with pytest.raises(ResourceLimitError):
-        class_sum(3, "descent_num", 1)
+    assert class_sum(3, "descent_num", 1, force=True).support_size() == 4
+    structure_polynomial(3, "rho", force=True)
+    assert verify_identity(3, "ges", force=True)["ok"]
+    assert bipartite_check((1, 3, 2), "gesA", 2, 2, force=True)
+    assert {"groups", "class_tables", "class_polys", "enriched_polys", "pair_rows",
+            "factor_tables"} <= set(limits._CACHES)
+    for unforced in (
+        lambda: perms.iterate_group("S", 3),
+        lambda: family_labels("descent_num", 3),
+        lambda: class_sum(3, "descent_num", 1),
+        lambda: structure_polynomial(3, "rho"),
+        lambda: verify_identity(3, "ges"),
+        lambda: bipartite_check((1, 3, 2), "gesA", 2, 2),
+    ):
+        with pytest.raises(ResourceLimitError):
+            unforced()
 
 
 def test_family_labels_returns_a_fresh_list():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import peaklab
-from peaklab import groupalgebra, qsym
+from peaklab import groupalgebra, limits, qsym
 
 from peaklab import (
     QsymExpansion,
@@ -312,7 +312,7 @@ def test_bipartite_check_fails_on_a_wrong_tensor(monkeypatch, flavor):
 
 def test_factor_table_rejects_a_coarser_family(monkeypatch):
     monkeypatch.setitem(qsym._ENUMERATOR_FAMILY, ordinary_alphabet, "descent_num")
-    monkeypatch.setattr(qsym, "_equation_cache", {})
+    monkeypatch.setattr(limits, "_CACHES", {})
     with pytest.raises(AssertionError, match="ordinary_alphabet.*descent_num"):
         bipartite_check((1, 3, 2), "gesA", 2, 2)
 
@@ -327,10 +327,28 @@ def test_bipartite_sweep_composes_per_element_not_per_pair(monkeypatch, check):
         return compose(a, b)
 
     monkeypatch.setattr(groupalgebra, "compose", counting)
-    monkeypatch.setattr(groupalgebra, "_rows_cache", {})
+    monkeypatch.setattr(limits, "_CACHES", {})
     assert verify_hook(check, 4)["ok"]
     equations = len(qsym._BIPARTITE[qsym._GF_FLAVORS[check]])
     assert 0 < calls <= equations * len(list(symmetric_group(4)))
+
+
+def test_factor_tables_are_built_once_per_alphabet(monkeypatch):
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += kwargs.get("mode") == "poly"
+        return chain_weight_sum(*args, **kwargs)
+
+    monkeypatch.setattr(qsym, "chain_weight_sum", counting)
+    monkeypatch.setattr(limits, "_CACHES", {})
+    for check, flavor in qsym._GF_FLAVORS.items():
+        if flavor != "B":
+            assert verify_hook(check, 4)["ok"], check
+    # one table per alphabet (ordinary, enriched, left enriched) and one
+    # left-hand side per equation (six), each over the 24 elements of S_4
+    assert calls == (3 + 6) * 24
 
 
 def test_coalgebra_constants_duality():
