@@ -23,6 +23,7 @@ from .exact import format_rational
 from .groupalgebra import (
     CLASS_FAMILIES,
     STRUCTURE_FAMILIES,
+    _class_table,
     all_theorem_ids,
     class_sum,
     family_labels,
@@ -209,7 +210,9 @@ def _cmd_peak_table(args) -> tuple[int, dict]:
 
 def _cmd_closure(args) -> tuple[int, dict]:
     labels = family_labels(args.family, args.n, force=args.force)
-    sums = [class_sum(args.n, args.family, lab, force=args.force) for lab in labels]
+    # a legal empty class sums to zero, which adds nothing to either rank
+    realized = _class_table(args.family, args.n, args.force)[0]
+    sums = [class_sum(args.n, args.family, lab, force=args.force) for lab in realized]
     rank = span_rank(sums)
     basis = multiplicative_closure(sums)
     return 0, {

@@ -273,21 +273,26 @@ def family_labels(family: str, n: int, force: bool = False) -> list:
     return labels
 
 
+def _by_class(family: str, n: int, force: bool, values) -> GAElem:
+    """The element whose coefficient on each element of class c is values[c]."""
+    group = CLASS_FAMILIES[family][0]
+    _, classes, _ = _class_table(family, n, force)
+    return GAElem(group, n, {p: values[c] for p, c in zip(iterate_group(group, n, force), classes)})
+
+
 def class_sum(n: int, family: str, label, force: bool = False) -> GAElem:
     """Sum, with coefficient 1, of the group elements in the given class."""
     if family not in CLASS_FAMILIES:
         raise ValueError(f"unknown class family {family!r}")
-    group = CLASS_FAMILIES[family][0]
     if isinstance(label, list):
         label = tuple(label)
     if label not in family_labels(family, n, force):
         raise ValueError(f"{label!r} is not a class label of {family} at n={n}")
-    labels, classes, _ = _class_table(family, n, force)
-    terms = {p: Fraction(1) for p, c in zip(iterate_group(group, n, force), classes)
-             if labels[c] == label}
-    if not terms:
+    labels = _class_table(family, n, force)[0]
+    e = _by_class(family, n, force, [int(lab == label) for lab in labels])
+    if e.is_zero():
         warnings.warn(f"class {label!r} of {family} is empty at n={n}", stacklevel=2)
-    return GAElem(group, n, terms)
+    return e
 
 
 def eulerian_number(n: int, i: int) -> int:
@@ -358,34 +363,33 @@ def structure_polynomial(n: int, family: str, force: bool = False) -> GAPoly:
     if family not in STRUCTURE_FAMILIES:
         raise ValueError(f"unknown structure family {family!r}")
     group, _, _, class_family = STRUCTURE_FAMILIES[family]
-    _, classes, _ = _class_table(class_family, n, force)
     polys = _class_polys(family, n, force)
-    by_power: list[dict] = [dict() for _ in range(n + 2)]
-    for p, c in zip(iterate_group(group, n, force), classes):
-        for power, coeff in enumerate(polys[c].coeffs):
-            if coeff:
-                by_power[power][p] = coeff
-    coeffs = [GAElem(group, n, t) for t in by_power]
     allowed = set(idempotent_powers(n, family))
-    for power, e in enumerate(coeffs):
-        if not e.is_zero() and power not in allowed:
+    coeffs = []
+    for power in range(max(len(poly.coeffs) for poly in polys)):
+        column = [poly.coeffs[power] if power < len(poly.coeffs) else 0 for poly in polys]
+        if any(column) and power not in allowed:
             raise AssertionError(f"{family} at n={n} has unexpected power {power}")
+        coeffs.append(_by_class(class_family, n, force, column))
     return GAPoly(group, n, coeffs)
 
 
 def idempotents(n: int, family: str, force: bool = False) -> list[GAElem]:
     """Coefficients of the structure polynomial at the family's powers.
 
-    As a cross-check, every group element's coefficient polynomial is also
-    recovered from the values at x = 1..deg+1 by exact interpolation.  That
-    route is redundant given the dense coefficients, and that is the
-    point: both must agree or extraction fails."""
+    As a cross-check, each class's coefficient polynomial is also recovered
+    from its values at x = 1..deg+1 by exact interpolation, and compared
+    with the coefficients the structure polynomial holds at the class
+    representative.  That route is redundant given the dense coefficients,
+    and that is the point: both must agree or extraction fails."""
     gp = structure_polynomial(n, family, force)
+    group, _, _, class_family = STRUCTURE_FAMILIES[family]
+    _, _, first = _class_table(class_family, n, force)
+    elements = iterate_group(group, n, force)
     nodes = range(1, gp.degree + 2)
-    values = [gp(x) for x in nodes]
-    for p in set().union(*(e.terms for e in values + list(gp.coeffs))):
-        recovered = interpolate([(x, v.coeff(p)) for x, v in zip(nodes, values)])
-        if recovered != UniPoly(e.coeff(p) for e in gp.coeffs):
+    for i, poly in zip(first, _class_polys(family, n, force)):
+        p = elements[i]
+        if interpolate([(x, poly(x)) for x in nodes]) != UniPoly(e.coeff(p) for e in gp.coeffs):
             raise AssertionError(f"interpolated coefficients of {p} differ")
     return [gp.coeff(p) for p in idempotent_powers(n, family)]
 

@@ -9,10 +9,13 @@ admissible when, for every strict relation i <_P j,
                         epsilon == -  if i > j as integers.
 
 With an all-plus alphabet this is the classical weak/strict rule, so one
-comparator drives both the ordinary and the enriched counts.  Chains get a
-linear-time scan with prefix sums; general posets get backtracking.  These
-enumerators are deliberately naive in structure: they are the oracle that
-every closed formula in the package is tested against.
+comparator drives both the ordinary and the enriched counts.  The unsigned
+poset on 1..n and the sign-symmetric one on -n..n share one order type
+(_Order), and the unsigned case is the one with no sign symmetry: one
+backtracking enumerator (_assignments) serves both, with f(-i) and f(0)
+implied for a signed poset.  Chains get a linear-time scan with prefix
+sums instead.  These enumerators are deliberately naive in structure: they
+are the oracle that every closed formula in the package is tested against.
 """
 
 from __future__ import annotations
@@ -336,14 +339,59 @@ def chain_weight_sum(
 # --- posets ------------------------------------------------------------------
 
 
-class Poset:
-    """Strict partial order on the labels 1..n, stored transitively closed."""
+class _Order:
+    """A strict order on the labels lo..lo+len(lt)-1, stored transitively
+    closed as bit rows: lt[i] bit j set <=> label i+lo < label j+lo."""
 
-    __slots__ = ("n", "lt")
+    __slots__ = ("n", "lt", "lo")
 
     def __init__(self, n: int, lt: tuple[int, ...]):
         self.n = n
-        self.lt = lt  # lt[i] bit j set <=> label i+1 <_P label j+1
+        self.lt = lt
+        self.lo = 1 if len(lt) == n else -n
+
+    @classmethod
+    def _closed(cls, n: int, lt: list[int]):
+        """Close the rows transitively (Warshall) and reject a cycle."""
+        for k in range(len(lt)):
+            row = lt[k]
+            for i in range(len(lt)):
+                if lt[i] >> k & 1:
+                    lt[i] |= row
+        if any(row >> i & 1 for i, row in enumerate(lt)):
+            raise ValueError("relation has a cycle")
+        return cls(n, tuple(lt))
+
+    def less(self, a: int, b: int) -> bool:
+        return bool(self.lt[a - self.lo] >> (b - self.lo) & 1)
+
+    def relations(self) -> Iterator[tuple[int, int]]:
+        for i, m in enumerate(self.lt):
+            while m:
+                j = (m & -m).bit_length() - 1
+                yield (i + self.lo, j + self.lo)
+                m &= m - 1
+
+    def relation_count(self) -> int:
+        return sum(m.bit_count() for m in self.lt)
+
+    def _total_order(self) -> list[int] | None:
+        """Every label bottom-up if this is a total order, else None."""
+        size = len(self.lt)
+        if self.relation_count() != size * (size - 1) // 2:
+            return None
+        labels = range(self.lo, self.lo + size)
+        return sorted(labels, key=lambda v: -self.lt[v - self.lo].bit_count())
+
+    def __repr__(self) -> str:
+        rels = ", ".join(f"{a}<{b}" for a, b in self.relations())
+        return f"{type(self).__name__}(n={self.n}, {{{rels}}})"
+
+
+class Poset(_Order):
+    """Strict partial order on the labels 1..n, stored transitively closed."""
+
+    __slots__ = ()
 
     @classmethod
     def from_covers(cls, n: int, covers: Sequence[Sequence[int]]) -> "Poset":
@@ -352,32 +400,12 @@ class Poset:
             if not (1 <= a <= n and 1 <= b <= n) or a == b:
                 raise ValueError(f"bad cover relation ({a},{b})")
             lt[a - 1] |= 1 << (b - 1)
-        lt = _close(lt)
-        for i in range(n):
-            if lt[i] >> i & 1:
-                raise ValueError("relation has a cycle")
-        return cls(n, tuple(lt))
-
-    def less(self, a: int, b: int) -> bool:
-        return bool(self.lt[a - 1] >> (b - 1) & 1)
-
-    def relations(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            m = self.lt[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                yield (i + 1, j + 1)
-                m &= m - 1
-
-    def relation_count(self) -> int:
-        return sum(m.bit_count() for m in self.lt)
+        return cls._closed(n, lt)
 
     def chain_sequence(self) -> tuple[int, ...] | None:
         """The labels bottom-up if this is a total order, else None."""
-        if self.relation_count() != self.n * (self.n - 1) // 2:
-            return None
-        order = sorted(range(1, self.n + 1), key=lambda v: -self.lt[v - 1].bit_count())
-        return tuple(order)
+        order = self._total_order()
+        return None if order is None else tuple(order)
 
     def linear_extensions(self, force: bool = False) -> list[Perm]:
         """All pi with a <_P b implying a placed before b in pi.
@@ -408,66 +436,34 @@ class Poset:
         rec(0)
         return out
 
-    def __repr__(self) -> str:
-        rels = ", ".join(f"{a}<{b}" for a, b in self.relations())
-        return f"Poset(n={self.n}, {{{rels}}})"
 
-
-class BPoset:
+class BPoset(_Order):
     """Strict partial order on {-n..n} with i <_P j forcing -j <_P -i.
 
     Cover input is given on any mix of signed labels (0 allowed); the
     mirror relations are added automatically before closing.
     """
 
-    __slots__ = ("n", "lt")
-
-    def __init__(self, n: int, lt: tuple[int, ...]):
-        self.n = n
-        self.lt = lt  # index label+n; bit (label'+n)
+    __slots__ = ()
 
     @classmethod
     def from_covers(cls, n: int, covers: Sequence[Sequence[int]]) -> "BPoset":
-        size = 2 * n + 1
-        lt = [0] * size
+        lt = [0] * (2 * n + 1)
         for a, b in covers:
             if not (-n <= a <= n and -n <= b <= n) or a == b:
                 raise ValueError(f"bad cover relation ({a},{b})")
             lt[a + n] |= 1 << (b + n)
             lt[-b + n] |= 1 << (-a + n)
-        lt = _close(lt)
-        for i in range(size):
-            if lt[i] >> i & 1:
-                raise ValueError("relation has a cycle")
-        p = cls(n, tuple(lt))
+        p = cls._closed(n, lt)
         for a, b in p.relations():
             if not p.less(-b, -a):
                 raise AssertionError("sign symmetry broken after closure")
         return p
 
-    def less(self, a: int, b: int) -> bool:
-        return bool(self.lt[a + self.n] >> (b + self.n) & 1)
-
-    def relations(self) -> Iterator[tuple[int, int]]:
-        n = self.n
-        for i in range(2 * n + 1):
-            m = self.lt[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                yield (i - n, j - n)
-                m &= m - 1
-
-    def relation_count(self) -> int:
-        return sum(m.bit_count() for m in self.lt)
-
     def chain_sequence(self) -> tuple[int, ...] | None:
         """Labels above 0, bottom-up, if this is a total order on {-n..n}."""
-        size = 2 * self.n + 1
-        if self.relation_count() != size * (size - 1) // 2:
-            return None
-        order = sorted(range(-self.n, self.n + 1), key=lambda v: -self.lt[v + self.n].bit_count())
-        at = order.index(0)
-        return tuple(order[at + 1 :])
+        order = self._total_order()
+        return None if order is None else tuple(order[order.index(0) + 1 :])
 
     def linear_extensions(self, force: bool = False) -> list[Perm]:
         """Signed permutations whose induced total order refines this one.
@@ -485,21 +481,6 @@ class BPoset:
             if all(pos[a] < pos[b] for a, b in self.relations()):
                 out.append(pi)
         return out
-
-    def __repr__(self) -> str:
-        rels = ", ".join(f"{a}<{b}" for a, b in self.relations())
-        return f"BPoset(n={self.n}, {{{rels}}})"
-
-
-def _close(lt: list[int]) -> list[int]:
-    """Transitive closure, Warshall on bit rows."""
-    size = len(lt)
-    for k in range(size):
-        row = lt[k]
-        for i in range(size):
-            if lt[i] >> k & 1:
-                lt[i] |= row
-    return lt
 
 
 def zigzag_poset(pi, positions, signed: bool | None = None):
@@ -543,84 +524,54 @@ def chain_poset(pi, signed: bool | None = None):
 # --- generic enumeration ------------------------------------------------------
 
 
-def _assignments_a(P: Poset, alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
-    """All admissible slot assignments for an unsigned poset, as tuples
-    indexed by label-1."""
-    n = P.n
-    size = alphabet.size
-    if n == 0:
-        yield ()
-        return
-    # fill in a topological order so every constraint looks backwards
-    order: list[int] = []
-    placed = 0
-    below = [0] * (n + 1)
-    for a, b in P.relations():
-        below[b] |= 1 << a
-    while len(order) < n:
-        for v in range(1, n + 1):
-            if not placed >> v & 1 and not below[v] & ~placed:
-                order.append(v)
-                placed |= 1 << v
-                break
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    pos = {v: i for i, v in enumerate(order)}
-    for a, b in P.relations():
-        need = 1 if a < b else -1
-        checks[pos[b]].append((a, need))
-    f = [0] * (n + 1)
+def _assignments(P: _Order, alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
+    """All admissible slot assignments, recorded on the representatives
+    1..n as tuples indexed by label-1.
 
-    def rec(step: int) -> Iterator[tuple[int, ...]]:
-        if step == n:
-            yield tuple(f[1:])
+    Slots live in one array indexed by label+n; a signed poset implies
+    f(-i) = neg f(i) and f(0) = zero.  The next representative placed is
+    the smallest one whose lower labels' representatives are all placed,
+    else the smallest left; for an unsigned poset that is the first linear
+    extension, so every check looks backwards.  Only cover relations are
+    checked, each when the later of its ends is placed: the comparator is
+    transitive along a chain of covers, so the implied relations hold too.
+    """
+    n, lo = P.n, P.lo
+    labels = range(lo, lo + len(P.lt))
+    below = {v: {abs(a) for a, b in P.relations() if b == v} - {0, v} for v in range(1, n + 1)}
+    order: list[int] = []
+    while len(order) < n:
+        left = [v for v in range(1, n + 1) if v not in order]
+        order.append(next((v for v in left if below[v] <= set(order)), left[0]))
+    step = {0: -1}
+    for s, v in enumerate(order):
+        step[v] = step[-v] = s
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a, b in P.relations():
+        if not any(P.less(a, c) and P.less(c, b) for c in labels):
+            checks[max(step[a], step[b])].append((a + n, b + n, 1 if a < b else -1))
+    signed = isinstance(P, BPoset)
+    f = [0] * (2 * n + 1)
+    if signed:
+        f[n] = alphabet.zero
+    size, le, neg = alphabet.size, alphabet.le, alphabet.neg
+
+    def rec(s: int) -> Iterator[tuple[int, ...]]:
+        if s == n:
+            yield tuple(f[n + 1 :])
             return
-        v = order[step]
-        for s in range(size):
-            ok = True
-            for a, need in checks[step]:
-                if not alphabet.le(f[a], s, need):
-                    ok = False
+        v = order[s] + n
+        for x in range(size):
+            f[v] = x
+            if signed:
+                f[2 * n - v] = neg[x]
+            for a, b, need in checks[s]:
+                if not le(f[a], f[b], need):
                     break
-            if ok:
-                f[v] = s
-                yield from rec(step + 1)
+            else:
+                yield from rec(s + 1)
 
     yield from rec(0)
-
-
-def _assignments_b(P: BPoset, alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
-    """Admissible assignments for a sign-symmetric poset, recorded on the
-    representatives 1..n; f(-i) and f(0) are implied."""
-    if alphabet.neg is None:
-        raise ValueError("signed poset needs a sign-symmetric alphabet")
-    n = P.n
-    size = alphabet.size
-    if n == 0:
-        yield ()
-        return
-    neg = alphabet.neg
-    zero = alphabet.zero
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for a, b in P.relations():
-        need = 1 if a < b else -1
-        checks[max(abs(a), abs(b))].append((a, b, need))
-    f = [0] * (n + 1)
-
-    def slot(x: int) -> int:
-        if x == 0:
-            return zero
-        return f[x] if x > 0 else neg[f[-x]]
-
-    def rec(m: int) -> Iterator[tuple[int, ...]]:
-        if m > n:
-            yield tuple(f[1:])
-            return
-        for s in range(size):
-            f[m] = s
-            if all(alphabet.le(slot(a), slot(b), need) for a, b, need in checks[m]):
-                yield from rec(m + 1)
-
-    yield from rec(1)
 
 
 def count_partitions(P, spec: ImageSetSpec, force: bool = False) -> int:
@@ -638,8 +589,7 @@ def count_partitions(P, spec: ImageSetSpec, force: bool = False) -> int:
     seq = P.chain_sequence()
     if seq is not None:
         return chain_weight_sum(alphabet, seq, anchored=signed, mode="count")
-    it = _assignments_b(P, alphabet) if signed else _assignments_a(P, alphabet)
-    return sum(1 for _ in it)
+    return sum(1 for _ in _assignments(P, alphabet))
 
 
 def support_counts(P: Poset, spec: ImageSetSpec, force: bool = False) -> tuple[list, list]:
@@ -652,6 +602,8 @@ def support_counts(P: Poset, spec: ImageSetSpec, force: bool = False) -> tuple[l
     """
     if spec.kind not in ("enriched", "left_enriched"):
         raise ValueError("support counting is defined for the enriched kinds")
+    if isinstance(P, BPoset):
+        raise ValueError(f"{spec.kind} does not apply to BPoset")
     if spec.k < P.n:
         raise ValueError("need k >= n so every support pattern can occur")
     check_limit("partition oracle size", P.n, POSET_ORACLE_MAX_N, force)
@@ -660,7 +612,7 @@ def support_counts(P: Poset, spec: ImageSetSpec, force: bool = False) -> tuple[l
     n = P.n
     c = [0] * n
     c0 = [0] * n
-    for assign in _assignments_a(P, alphabet):
+    for assign in _assignments(P, alphabet):
         mags = {alphabet.mags[s] for s in assign}
         top = max(mags, default=0)
         if 0 in mags:
@@ -691,8 +643,7 @@ def partition_monomials(P, spec_or_alphabet, force: bool = False) -> MultiPoly:
     if seq is not None:
         return chain_weight_sum(alphabet, seq, anchored=signed, mode="poly")
     out = MultiPoly.zero(alphabet.arity)
-    it = _assignments_b(P, alphabet) if signed else _assignments_a(P, alphabet)
-    for assign in it:
+    for assign in _assignments(P, alphabet):
         exps = [0] * alphabet.arity
         for s in assign:
             for i, e in enumerate(alphabet.exps[s]):

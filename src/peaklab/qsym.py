@@ -337,21 +337,14 @@ def _composition(n: int, mask: int) -> tuple[int, ...]:
 
 def _realize_monomial(n: int, mask: int, m: int, signed: bool) -> MultiPoly:
     parts = _composition(n, mask)
+    # signed: the first part binds to z_0 and may be empty when 0 is in the set
+    head, rest = (parts[0], parts[1:]) if signed else (0, parts)
     terms: dict = {}
-    if signed:
-        # the first part binds to z_0 and may be empty when 0 is in the set
-        for run in combinations(range(1, m + 1), len(parts) - 1):
-            e = [0] * (m + 1)
-            e[0] = parts[0]
-            for v, a in zip(run, parts[1:]):
-                e[v] = a
-            terms[tuple(e)] = 1
-    else:
-        for run in combinations(range(1, m + 1), len(parts)):
-            e = [0] * (m + 1)
-            for v, a in zip(run, parts):
-                e[v] = a
-            terms[tuple(e)] = 1
+    for run in combinations(range(1, m + 1), len(rest)):
+        e = [head] + [0] * m
+        for v, a in zip(run, rest):
+            e[v] = a
+        terms[tuple(e)] = 1
     return MultiPoly(m + 1, terms)
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "cli.json"
@@ -129,6 +130,24 @@ def test_golden_corpus(monkeypatch):
     assert [entry["argv"] for entry in recorded] == [list(argv) for argv in ARGV]
     changed = [entry["argv"] for entry in recorded if replay(entry["argv"]) != entry]
     assert not changed, f"output differs from the corpus for {changed}"
+
+
+def test_closure_over_an_empty_class_warns_nowhere(monkeypatch):
+    """B_peak_sign_num at n = 2 names one legal empty class; the closure
+    command counts it but writes no warning to stderr."""
+    from peaklab.cli import main
+
+    monkeypatch.delenv("PEAKLAB_MAX_N", raising=False)
+    argv = ["closure", "--family", "B_peak_sign_num", "-n", "2"]
+    with open(CORPUS) as fh:
+        entry = next(e for e in json.load(fh) if e["argv"] == argv)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(argv) == entry["exit"] == 0
+    assert out.getvalue() == entry["stdout"]
+    assert err.getvalue() == ""
 
 
 def record() -> None:

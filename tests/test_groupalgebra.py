@@ -28,6 +28,9 @@ from peaklab import (
     all_theorem_ids,
 )
 from peaklab import groupalgebra, limits, perms
+from peaklab.exact import UniPoly, interpolate
+from peaklab.groupalgebra import STRUCTURE_FAMILIES
+from peaklab.orderpolys import order_polynomial
 from peaklab.perms import eta, identity_perm, symmetric_group, hyperoctahedral_group
 
 
@@ -153,6 +156,37 @@ def test_idempotents_orthogonal_smoke():
     for i, a in enumerate(rs):
         for j, b in enumerate(rs):
             assert a * b == (a if i == j else GAElem.zero("B", 2))
+
+
+@pytest.mark.parametrize("family", sorted(STRUCTURE_FAMILIES))
+def test_idempotent_coefficients_match_per_element_order_polynomials(family):
+    group, kind, subst, _ = STRUCTURE_FAMILIES[family]
+    for n in range(1, 6 if group == "S" else 4):
+        es = idempotents(n, family)
+        for p in (symmetric_group if group == "S" else hyperoctahedral_group)(n):
+            poly = order_polynomial(p, kind).compose(subst)
+            for power, e in zip(idempotent_powers(n, family), es):
+                assert e.coeff(p) == poly.coeff(power), (n, p, power)
+
+
+@pytest.mark.parametrize("n,family,classes", [(5, "rho", 3), (3, "rho_B", 4)])
+def test_idempotent_cross_check_interpolates_once_per_class(monkeypatch, n, family, classes):
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return interpolate(points)
+
+    monkeypatch.setattr(groupalgebra, "interpolate", counted)
+    idempotents(n, family)
+    assert len(calls) == classes
+
+
+def test_idempotent_cross_check_catches_a_wrong_interpolation(monkeypatch):
+    monkeypatch.setattr(groupalgebra, "interpolate",
+                        lambda points: interpolate(points) + UniPoly((0, 1)))
+    with pytest.raises(AssertionError, match="interpolated coefficients"):
+        idempotents(4, "rho")
 
 
 def test_span_rank_and_in_span():

@@ -1,6 +1,7 @@
 """Alphabets, chains, posets, and the brute-force partition oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from peaklab import (
     count_partitions,
     zigzag_poset,
 )
+from peaklab.exact import MultiPoly
 from peaklab.posets import (
     IMAGE_SET_KINDS,
     b_enriched_alphabet,
@@ -260,6 +262,8 @@ def test_support_counts_pinned():
         support_counts(chain_poset((1,)), ImageSetSpec("ordinary", 1))
     with pytest.raises(ValueError):
         support_counts(chain_poset((1, 2)), ImageSetSpec("enriched", 1))
+    with pytest.raises(ValueError, match="does not apply to BPoset"):
+        support_counts(BPoset.from_covers(2, [(1, -2)]), ImageSetSpec("enriched", 2))
 
 
 def test_partition_monomials():
@@ -271,3 +275,79 @@ def test_partition_monomials():
     # the other still a two-element chain
     prod = product_alphabet(ordinary_alphabet(1), ordinary_alphabet(2), "lex")
     assert partition_monomials(p, prod).eval_all_ones() == 3
+
+
+# --- generic enumerator against an independent brute force -------------------
+
+
+def _random_non_chains(cls, n_max, labels_of, seed, count):
+    """Seeded random posets of cls that are not total orders, so the generic
+    enumerator (not the chain scan) serves them.  Covers run forward in a
+    shuffled label order; only a signed poset's mirror relations can close
+    a cycle."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(n_max // 2, n_max)
+        labs = rng.sample(labels_of(n), len(labels_of(n)))
+        covers = [(a, b) for i, a in enumerate(labs) for b in labs[i + 1:] if rng.random() < 0.4]
+        try:
+            p = cls.from_covers(n, covers)
+        except ValueError:
+            continue
+        if p.chain_sequence() is None:
+            out.append(p)
+    return out
+
+
+def _brute_maps(P, alphabet):
+    """Every map on the representatives 1..n, kept when every relation
+    a <_P b holds under the admissibility rule; f(-i) and f(0) are implied
+    for a signed poset."""
+    signed = isinstance(P, BPoset)
+    kept = []
+    for assign in itertools.product(range(alphabet.size), repeat=P.n):
+        f = {0: alphabet.zero}
+        for i, s in enumerate(assign, start=1):
+            f[i] = s
+            if signed:  # negation reverses a sign-symmetric alphabet
+                f[-i] = alphabet.size - 1 - s
+        if all(
+            f[a] < f[b] or (f[a] == f[b] and alphabet.eps[f[a]] == (1 if a < b else -1))
+            for a, b in P.relations()
+        ):
+            kept.append(assign)
+    return kept
+
+
+_UNSIGNED = _random_non_chains(Poset, 4, lambda n: range(1, n + 1), 11, 12)
+_SIGNED = _random_non_chains(BPoset, 2, lambda n: range(-n, n + 1), 12, 8)
+
+
+@pytest.mark.parametrize("kind", sorted(IMAGE_SET_KINDS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_generic_enumerator_matches_brute_force(kind, k):
+    spec = ImageSetSpec(kind, k)
+    alphabet = spec.alphabet()
+    for p in _SIGNED if spec.signed else _UNSIGNED:
+        maps = _brute_maps(p, alphabet)
+        assert count_partitions(p, spec) == len(maps), p
+        want = MultiPoly.zero(alphabet.arity)
+        for assign in maps:
+            exps = [sum(alphabet.exps[s][i] for s in assign) for i in range(alphabet.arity)]
+            want = want + MultiPoly.monomial(alphabet.arity, exps)
+        assert partition_monomials(p, spec) == want, p
+
+
+@pytest.mark.parametrize("kind", ["enriched", "left_enriched"])
+def test_support_counts_match_brute_force(kind):
+    for p in _UNSIGNED:
+        alphabet = left_enriched_alphabet(p.n)
+        c, c0 = [0] * p.n, [0] * p.n
+        for assign in _brute_maps(p, alphabet):
+            mags = {alphabet.mags[s] for s in assign}
+            if mags == set(range(1, len(mags) + 1)):
+                c[len(mags) - 1] += 1
+            elif mags == set(range(len(mags))):
+                c0[len(mags) - 1] += 1
+        assert support_counts(p, ImageSetSpec(kind, p.n)) == (c, c0), p
