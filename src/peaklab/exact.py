@@ -238,7 +238,7 @@ def reduce_row(row: dict, basis: dict) -> dict:
             return row
         factor = row[pivot]
         for p, c in hit.items():
-            v = row.get(p, Fraction(0)) - factor * c
+            v = row.get(p, 0) - factor * c
             if v:
                 row[p] = v
             else:

@@ -11,6 +11,10 @@ one convolution sweep.
 
 Each class family is partitioned once per n, in one class table (see
 _class_table) that labels, class sums, polynomials and tensors all read.
+
+Element products (ga_multiply) convolve in integers: each operand is
+cleared to one common denominator, and only the result's terms are built
+as Fractions.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class GAElem:
         self._check(other)
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out.get(p, 0) + c
         return GAElem(self.group, self.n, out)
 
     def __neg__(self) -> "GAElem":
@@ -142,15 +146,27 @@ class GAElem:
         return f"GAElem({self.group}{self.n}: {body or '0'})"
 
 
+def _integral(terms: dict) -> tuple[int, list]:
+    """(d, [(perm, c*d)]): the coefficients cleared to integers over d, the
+    lcm of their denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(p, c.numerator * (d // c.denominator)) for p, c in terms.items()]
+
+
 def ga_multiply(a: GAElem, b: GAElem) -> GAElem:
-    """Convolution: (ab)(pi) = sum over sigma tau = pi of a(sigma) b(tau)."""
+    """Convolution: (ab)(pi) = sum over sigma tau = pi of a(sigma) b(tau),
+    summed in ints over each operand's common denominator; each output term
+    becomes one Fraction."""
     a._check(b)
+    da, xs = _integral(a.terms)
+    db, ys = _integral(b.terms)
     out: dict = {}
-    for sigma, ca in a.terms.items():
-        for tau, cb in b.terms.items():
+    for sigma, ca in xs:
+        for tau, cb in ys:
             pi = compose(sigma, tau)
-            out[pi] = out.get(pi, Fraction(0)) + ca * cb
-    return GAElem(a.group, a.n, out)
+            out[pi] = out.get(pi, 0) + ca * cb
+    d = da * db
+    return GAElem(a.group, a.n, {pi: Fraction(c, d) for pi, c in out.items() if c})
 
 
 class GAPoly:
@@ -438,10 +454,15 @@ def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[
         raise ResourceLimitError(f"closure basis exceeded cap {cap}")
     fresh = list(basis)
     while fresh:
+        # fresh is the tail basis[old:]: a fresh pair {a, b} is offered once,
+        # and a*a once; a repeat would reduce to zero against the grown span.
+        old = len(basis) - len(fresh)
         added: list[GAElem] = []
-        for a in basis:
-            for b in fresh:
-                for prod in (a * b, b * a):
+        for i, a in enumerate(basis):
+            for j, b in enumerate(fresh):
+                if j < i - old:
+                    continue
+                for prod in (a * b,) if j == i - old else (a * b, b * a):
                     if basis_insert(prod.terms, basis_rows):
                         added.append(prod)
                         if len(basis) + len(added) > cap:
@@ -598,7 +619,7 @@ def cyclic_isomorphism_check(n: int, force: bool = False) -> bool:
             lifted = hat(p)
             for w in powers:
                 q = compose(lifted, w)
-                out[q] = out.get(q, Fraction(0)) + c / n
+                out[q] = out.get(q, 0) + c / n
         return GAElem("S", n, out)
 
     classes = [class_sum(n - 1, "descent_num", i, force) for i in range(n - 1)]

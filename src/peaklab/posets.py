@@ -535,6 +535,8 @@ def _assignments(P: _Order, alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
     extension, so every check looks backwards.  Only cover relations are
     checked, each when the later of its ends is placed: the comparator is
     transitive along a chain of covers, so the implied relations hold too.
+    A signed cover is checked once per mirror pair (a, b), (-b, -a): neg
+    reverses the alphabet and keeps its flags, so the two agree.
     """
     n, lo = P.n, P.lo
     labels = range(lo, lo + len(P.lt))
@@ -546,11 +548,13 @@ def _assignments(P: _Order, alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
     step = {0: -1}
     for s, v in enumerate(order):
         step[v] = step[-v] = s
+    signed = isinstance(P, BPoset)
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a, b in P.relations():
+        if signed and (-b, -a) < (a, b):
+            continue  # its mirror (-b, -a) is the same check at the same step
         if not any(P.less(a, c) and P.less(c, b) for c in labels):
             checks[max(step[a], step[b])].append((a + n, b + n, 1 if a < b else -1))
-    signed = isinstance(P, BPoset)
     f = [0] * (2 * n + 1)
     if signed:
         f[n] = alphabet.zero

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import peaklab
+from peaklab import groupalgebra
 
 # Imports every peaklab module, records the size of each module-level
 # container, runs one call into each cached layer and prints every
@@ -39,3 +41,23 @@ def test_limits_caches_is_the_only_module_cache():
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["peaklab.limits._CACHES"]
+
+
+def test_ga_multiply_builds_one_fraction_per_output_term(monkeypatch):
+    made = 0
+
+    def counting(*args):
+        nonlocal made
+        made += 1
+        return Fraction(*args)
+
+    mixed = groupalgebra.GAElem("S", 4, {p: Fraction(i - 11, i % 5 + 1)
+                                         for i, p in enumerate(peaklab.symmetric_group(4))})
+    elems = [*groupalgebra.idempotents(4, "rho"), mixed]
+    monkeypatch.setattr(groupalgebra, "Fraction", counting)
+    for a in elems:
+        for b in elems:
+            made = 0
+            prod = groupalgebra.ga_multiply(a, b)
+            # the pair sums run in integers; only the result's terms are Fractions
+            assert made <= prod.support_size()

@@ -1,6 +1,7 @@
 """Group algebra arithmetic, class sums, idempotents, spans, and the
 theorem registry."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,8 +29,8 @@ from peaklab import (
     all_theorem_ids,
 )
 from peaklab import groupalgebra, limits, perms
-from peaklab.exact import UniPoly, interpolate
-from peaklab.groupalgebra import STRUCTURE_FAMILIES
+from peaklab.exact import UniPoly, basis_insert, interpolate
+from peaklab.groupalgebra import STRUCTURE_FAMILIES, ga_multiply
 from peaklab.orderpolys import order_polynomial
 from peaklab.perms import eta, identity_perm, symmetric_group, hyperoctahedral_group
 
@@ -437,3 +438,164 @@ def test_factor_counts_compose_per_sign_not_per_pair(monkeypatch, group, n, fam)
     # one product per (element, diagonal sign element), never one per pair;
     # this is within n * 2^n * |G|
     assert 0 < calls <= (2 ** n if group == "B" else 1) * size < size ** 2
+
+
+# --- ga_multiply against the plain Fraction convolution ---------------------------
+
+
+def _convolve(a, b):
+    """(ab)(pi) summed pair by pair in Fractions, composed here with
+    perms.compose."""
+    out = {}
+    for sigma, ca in a.terms.items():
+        for tau, cb in b.terms.items():
+            pi = perms.compose(sigma, tau)
+            out[pi] = out.get(pi, Fraction(0)) + ca * cb
+    return GAElem(a.group, a.n, out)
+
+
+def _product_cases(group, n):
+    """Seeded operand pairs: sparse and dense elements with mixed
+    denominators and signs, the zero element, basis elements, and
+    (1 + s)(1 - s) = 0 for an involution s."""
+    rng = random.Random(f"{group}{n}")
+    elements = list(perms.iterate_group(group, n))
+
+    def element(size):
+        terms = {p: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+                 for p in rng.sample(elements, size)}
+        return GAElem(group, n, terms)
+
+    sparse = [element(rng.randint(1, min(4, len(elements)))) for _ in range(4)]
+    dense = [element(len(elements)) for _ in range(2)]
+    zero = GAElem.zero(group, n)
+    basis = [GAElem.basis(group, p) for p in rng.sample(elements, min(3, len(elements)))]
+    one = GAElem.basis(group, identity_perm(n))
+    s = (-1,) + tuple(range(2, n + 1)) if group == "B" else (2, 1) + tuple(range(3, n + 1))
+    cases = [(a, b) for a in sparse + dense for b in sparse + dense]
+    cases += [(zero, dense[0]), (dense[0], zero), (zero, zero)]
+    cases += [(x, y) for x in basis for y in basis + sparse[:1]]
+    if len(elements) > 1:
+        flip = GAElem.basis(group, s)
+        cases.append((one + flip, one - flip))
+        cases.append((dense[0].scale(Fraction(1, 3)), dense[0].scale(Fraction(-5, 2))))
+    return cases
+
+
+@pytest.mark.parametrize("group,n", [("S", n) for n in range(1, 6)] + [("B", n) for n in range(1, 4)])
+def test_ga_multiply_matches_fraction_convolution(monkeypatch, group, n):
+    cases = _product_cases(group, n)
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return perms.compose(a, b)
+
+    monkeypatch.setattr(groupalgebra, "compose", counting)
+    cancelled = False
+    for a, b in cases:
+        want = _convolve(a, b)
+        calls = 0
+        got = groupalgebra.ga_multiply(a, b)
+        assert calls == a.support_size() * b.support_size()
+        assert got == want and got.to_json() == want.to_json()
+        assert all(type(c) is Fraction for c in got.terms.values())
+        cancelled |= got.is_zero() and not (a.is_zero() or b.is_zero())
+    assert cancelled == (len(perms.iterate_group(group, n)) > 1)
+
+
+def test_ga_multiply_rejects_mixed_algebras():
+    s3 = GAElem.basis("S", (2, 1, 3))
+    for other in (GAElem.basis("S", (2, 1)), GAElem.basis("B", (2, 1, 3)),
+                  GAElem.zero("B", 3)):
+        with pytest.raises(ValueError):
+            groupalgebra.ga_multiply(s3, other)
+        with pytest.raises(ValueError):
+            groupalgebra.ga_multiply(other, s3)
+
+
+# --- multiplicative_closure against the double loop over every ordered pair --------
+
+
+def _closure_by_pairs(elems, cap, insert, rounds):
+    """Offer a*b and b*a for every a in the basis and b in the last round's
+    additions; rounds records (basis size before, additions) per round."""
+    group, n = elems[0].group, elems[0].n
+    if cap is None:
+        cap = len(perms.iterate_group(group, n, force=True))
+    rows, basis = {}, []
+    for e in elems:
+        if insert(e.terms, rows):
+            basis.append(e)
+    if len(basis) > cap:
+        raise ResourceLimitError(f"closure basis exceeded cap {cap}")
+    fresh = list(basis)
+    while fresh:
+        rounds.append((len(basis) - len(fresh), len(fresh)))
+        added = []
+        for a in basis:
+            for b in fresh:
+                for prod in (a * b, b * a):
+                    if insert(prod.terms, rows):
+                        added.append(prod)
+                        if len(basis) + len(added) > cap:
+                            raise ResourceLimitError(f"closure basis exceeded cap {cap}")
+        basis.extend(added)
+        fresh = added
+    return basis
+
+
+def _closure_cases():
+    cases = [(fam, n) for fam, (group, _) in sorted(groupalgebra.CLASS_FAMILIES.items())
+             for n in (range(1, 5) if group == "S" else range(1, 4))]
+    return cases + [("descent_set", 5)]
+
+
+def _realized_sums(family, n):
+    return [class_sum(n, family, lab) for lab in groupalgebra._class_table(family, n, False)[0]]
+
+
+@pytest.mark.parametrize("family,n", _closure_cases())
+def test_closure_matches_the_double_loop(monkeypatch, family, n):
+    sums = _realized_sums(family, n)
+    rounds = []
+    want = _closure_by_pairs(sums, None, basis_insert, rounds)
+    products = 0
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return ga_multiply(a, b)
+
+    monkeypatch.setattr(groupalgebra, "ga_multiply", counting)
+    got = multiplicative_closure(sums)
+    assert [e.terms for e in got] == [e.terms for e in want]
+    # a fresh pair is offered once each way, a fresh square once
+    assert products == sum(2 * old * f + f * f for old, f in rounds)
+
+
+@pytest.mark.parametrize("family,n", [("right_peak_num", 4), ("right_peak_set", 4),
+                                      ("B_peak_sign_set", 3), ("exterior_peak_set", 4)])
+def test_closure_cap_trips_where_the_double_loop_does(monkeypatch, family, n):
+    sums = _realized_sums(family, n)
+    full = len(_closure_by_pairs(sums, None, basis_insert, []))
+    assert full > len(sums)
+    for cap in range(len(sums), full):
+        want, got = [], []
+
+        def recording(log):
+            def insert(row, rows):
+                grew = basis_insert(row, rows)
+                if grew:
+                    log.append(dict(row))
+                return grew
+            return insert
+
+        with pytest.raises(ResourceLimitError, match=f"cap {cap}"):
+            _closure_by_pairs(sums, cap, recording(want), [])
+        monkeypatch.setattr(groupalgebra, "basis_insert", recording(got))
+        with pytest.raises(ResourceLimitError, match=f"cap {cap}"):
+            multiplicative_closure(sums, cap=cap)
+        monkeypatch.undo()
+        assert got == want and len(got) == cap + 1

@@ -351,3 +351,21 @@ def test_support_counts_match_brute_force(kind):
             elif mags == set(range(len(mags))):
                 c0[len(mags) - 1] += 1
         assert support_counts(p, ImageSetSpec(kind, p.n)) == (c, c0), p
+
+
+def test_signed_covers_are_checked_once_per_mirror_pair(monkeypatch):
+    calls = 0
+    le = Alphabet.le
+
+    def counting(self, a, b, need):
+        nonlocal calls
+        calls += 1
+        return le(self, a, b, need)
+
+    monkeypatch.setattr(Alphabet, "le", counting)
+    total = sum(count_partitions(p, ImageSetSpec(kind, k))
+                for kind in ("ordinaryB", "B_enriched") for k in (1, 2) for p in _SIGNED)
+    assert total == 252
+    # checking each cover together with its mirror (-b, -a) made 915 calls
+    # here; the self-mirror covers (-i, i) and (i, -i) cannot be halved
+    assert calls <= 723
