@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -389,24 +390,46 @@ def gf_coeffs(gf: RationalGF, count: int) -> list[Fraction]:
     return gf.coeffs(count)
 
 
+def _coefficient(value):
+    """An exact coefficient in normal form: an int when it is integral,
+    else a Fraction.  Floats are refused."""
+    if isinstance(value, int):
+        return int(value)
+    q = as_fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 class MultiPoly:
     """Sparse polynomial in a fixed number of variable slots.
 
-    Terms map exponent tuples (length == arity) to nonzero Fractions.
+    Terms map exponent tuples (length == arity) to nonzero exact rationals,
+    held as ints when integral and as Fractions only otherwise, so integer
+    polynomials (every enumerator and realization here) stay in integer
+    arithmetic.  An int and an equal Fraction compare and hash alike, so
+    equality does not depend on which form a coefficient arrived in.
     """
 
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms: dict | None = None):
         self.arity = arity
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, c in terms.items():
-                c = as_fraction(c)
+                c = _coefficient(c)
                 if c:
                     if len(exps) != arity:
                         raise ValueError("exponent tuple has the wrong length")
                     self.terms[tuple(exps)] = c
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict) -> "MultiPoly":
+        """Wrap terms that are already in normal form (tuple keys of the
+        right length, nonzero coefficients in normal form), unchecked."""
+        out = object.__new__(cls)
+        out.arity = arity
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, arity: int) -> "MultiPoly":
@@ -437,45 +460,45 @@ class MultiPoly:
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            v = out.get(exps, Fraction(0)) + c
+            v = get(exps, 0) + c
             if v:
-                out[exps] = v
+                # an int stays itself; a Fraction sum may have become integral
+                out[exps] = v.numerator if v.denominator == 1 else v
             else:
-                out.pop(exps, None)
-        return MultiPoly(self.arity, out)
+                del out[exps]
+        return MultiPoly._trusted(self.arity, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return MultiPoly(self.arity)
-            return MultiPoly(self.arity, {e: v * c for e, v in self.terms.items()})
+            c = _coefficient(other)
+            scaled = {e: v * c for e, v in self.terms.items()}
+            return MultiPoly._trusted(self.arity, _normal_terms(scaled))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, Fraction(0)) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return MultiPoly(self.arity, out)
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return MultiPoly._trusted(self.arity, _normal_terms(out))
 
     __rmul__ = __mul__
 
     def eval_all_ones(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        """The sum of the coefficients, always as a Fraction."""
+        return Fraction(sum(self.terms.values()))
 
     def set_var_zero(self, slot: int) -> "MultiPoly":
         """Substitute 0 for one variable and drop its slot."""
@@ -485,7 +508,7 @@ class MultiPoly:
         for exps, c in self.terms.items():
             if exps[slot] == 0:
                 out[exps[:slot] + exps[slot + 1 :]] = c
-        return MultiPoly(self.arity - 1, out)
+        return MultiPoly._trusted(self.arity - 1, out)
 
     def embed(self, arity: int, offset: int) -> "MultiPoly":
         """View this polynomial inside a wider slot range."""
@@ -493,7 +516,7 @@ class MultiPoly:
             raise ValueError("embedding does not fit")
         pad_l = (0,) * offset
         pad_r = (0,) * (arity - offset - self.arity)
-        return MultiPoly(arity, {pad_l + e + pad_r: c for e, c in self.terms.items()})
+        return MultiPoly._trusted(arity, {pad_l + e + pad_r: c for e, c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -503,6 +526,11 @@ class MultiPoly:
             mono = "*".join(f"z{i}^{e}" for i, e in enumerate(exps) if e) or "1"
             bits.append(f"{format_rational(self.terms[exps])}*{mono}")
         return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+def _normal_terms(terms: dict) -> dict:
+    """The nonzero entries of a coefficient dict, each in normal form."""
+    return {e: (c.numerator if c.denominator == 1 else c) for e, c in terms.items() if c}
 
 
 if __name__ == "__main__":

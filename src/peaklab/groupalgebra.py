@@ -24,7 +24,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations
-from math import lcm
+from math import factorial, lcm
 from operator import add, mul
 
 from .exact import UniPoly, as_fraction, basis_insert, format_rational, interpolate, reduce_row
@@ -444,7 +444,9 @@ def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[
         return []
     group, n = elems[0].group, elems[0].n
     if cap is None:
-        cap = len(iterate_group(group, n, force=True))
+        # the group order; S_n at n <= 0 is the one empty permutation
+        m = max(n, 0)
+        cap = factorial(m) << m if group == "B" else factorial(m)
     basis_rows: dict = {}
     basis: list[GAElem] = []
     for e in elems:

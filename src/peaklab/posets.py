@@ -293,47 +293,75 @@ def chain_weight_sum(
     anchored pins a virtual bottom element labeled 0 to the alphabet's zero;
     this is how sign-symmetric chains reduce to their positive half.  mode
     'count' returns an integer, 'poly' the sum of exponent monomials.
+
+    The scan keeps, per letter, the weight of the maps whose last element
+    sits on that letter; the next element sits strictly higher, or on the
+    same letter when its flag allows the step.  In poly mode a weight is a
+    dict from Kronecker-packed exponents (slot i is the digit of base**i)
+    to integer counts, so multiplying by a letter's monomial is one integer
+    shift; the base exceeds every slot's largest possible degree, so no
+    digit carries, and the keys are unpacked once at the end.
     """
-    size = alphabet.size
-    if mode == "count":
-        weights = [1] * size
-        zero_v = 0
-    elif mode == "poly":
-        weights = [MultiPoly.monomial(alphabet.arity, e) for e in alphabet.exps]
-        zero_v = MultiPoly.zero(alphabet.arity)
-    else:
+    if mode not in ("count", "poly"):
         raise ValueError(f"unknown mode {mode!r}")
-
+    if anchored and alphabet.zero is None:
+        raise ValueError("anchored chain needs a zero element")
+    poly = mode == "poly"
+    if not anchored and not labels:
+        return MultiPoly.constant(alphabet.arity, 1) if poly else 1
+    size, eps = alphabet.size, alphabet.eps
     if anchored:
-        if alphabet.zero is None:
-            raise ValueError("anchored chain needs a zero element")
-        state = [zero_v] * size
-        one = 1 if mode == "count" else MultiPoly.constant(alphabet.arity, 1)
-        state[alphabet.zero] = one
-        prev = 0
-        todo = list(labels)
+        prev, todo = 0, list(labels)
     else:
-        if not labels:
-            return 1 if mode == "count" else MultiPoly.constant(alphabet.arity, 1)
-        state = list(weights)
-        prev = labels[0]
-        todo = list(labels[1:])
+        prev, todo = labels[0], list(labels[1:])
 
-    eps = alphabet.eps
+    if not poly:
+        if anchored:
+            state = [0] * size
+            state[alphabet.zero] = 1
+        else:
+            state = [1] * size
+        for lab in todo:
+            need = 1 if prev < lab else -1
+            run = 0
+            new = []
+            for j in range(size):
+                new.append(run + state[j] if eps[j] == need else run)
+                run += state[j]
+            state = new
+            prev = lab
+        return sum(state)
+
+    base = len(labels) * max((max(e) for e in alphabet.exps), default=0) + 1
+    places = [base**i for i in range(alphabet.arity)]
+    shifts = [sum(d * p for d, p in zip(e, places)) for e in alphabet.exps]
+    if anchored:
+        state = [{} for _ in range(size)]
+        state[alphabet.zero] = {0: 1}
+    else:
+        state = [{w: 1} for w in shifts]
     for lab in todo:
         need = 1 if prev < lab else -1
-        run = zero_v
+        run: dict[int, int] = {}
         new = []
         for j in range(size):
-            stay = state[j] if eps[j] == need else zero_v
-            new.append(weights[j] * (run + stay))
-            run = run + state[j]
+            w = shifts[j]
+            # run holds the letters below j; it takes in letter j itself
+            # before the shift when the flag allows staying on j
+            if eps[j] != need:
+                new.append({k + w: c for k, c in run.items()})
+            for k, c in state[j].items():
+                run[k] = run.get(k, 0) + c
+            if eps[j] == need:
+                new.append({k + w: c for k, c in run.items()})
         state = new
         prev = lab
-    total = zero_v
-    for s in state:
-        total = total + s
-    return total
+    total: dict[int, int] = {}
+    for here in state:
+        for k, c in here.items():
+            total[k] = total.get(k, 0) + c
+    return MultiPoly(alphabet.arity,
+                     {tuple(k // p % base for p in places): c for k, c in total.items()})
 
 
 # --- posets ------------------------------------------------------------------

@@ -500,8 +500,8 @@ def _first_difference(a: MultiPoly, b: MultiPoly):
     if a == b:
         return None
     for exps in sorted(set(a.terms) | set(b.terms)):
-        x = a.terms.get(exps, Fraction(0))
-        y = b.terms.get(exps, Fraction(0))
+        x = a.terms.get(exps, 0)
+        y = b.terms.get(exps, 0)
         if x != y:
             return exps, x, y
 

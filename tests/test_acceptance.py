@@ -325,7 +325,7 @@ def test_peak_polynomial_table_entries():
 
 @pytest.mark.parametrize("which", ("mon", "fun"))
 def test_expansions_match_truncated_realizations(which):
-    for n in (2, 3):
+    for n in (2, 3, 4):
         out = verify_hook(which, n)
         assert out["ok"], out
 
@@ -333,7 +333,7 @@ def test_expansions_match_truncated_realizations(which):
 @pytest.mark.parametrize("check", ("gf_ges", "gf_interior", "gf_left", "gf_B",
                                    "gf_peakideal", "gf_interiordescent"))
 def test_bipartite_product_identities(check):
-    for n in (1, 2, 3) if check == "gf_B" else (1, 2, 3, 4):
+    for n in (1, 2, 3, 4):
         out = verify_hook(check, n)
         assert out["ok"], (check, n, out)
 

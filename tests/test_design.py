@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import peaklab
-from peaklab import groupalgebra
+from peaklab import groupalgebra, posets
 
 # Imports every peaklab module, records the size of each module-level
 # container, runs one call into each cached layer and prints every
@@ -61,3 +61,23 @@ def test_ga_multiply_builds_one_fraction_per_output_term(monkeypatch):
             prod = groupalgebra.ga_multiply(a, b)
             # the pair sums run in integers; only the result's terms are Fractions
             assert made <= prod.support_size()
+
+
+def test_poly_chain_sum_builds_no_fraction(monkeypatch):
+    made = 0
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return make(cls, *args, **kwargs)
+
+    alphabet = posets.product_alphabet(posets.enriched_alphabet(2),
+                                       posets.left_enriched_alphabet(2), "updown")
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    polys = [posets.chain_weight_sum(alphabet, pi, mode="poly")
+             for pi in peaklab.symmetric_group(4)]
+    # the enumerators are integer polynomials, counted in ints throughout
+    assert made == 0 and all(polys)
+    polys[0].eval_all_ones()
+    assert made > 0  # the counter sees a Fraction when one is made

@@ -151,6 +151,47 @@ def test_multipoly_eval_and_embed(a):
     assert {e[2:4] for e in wide.terms} == {tuple(e) for e in a.terms}
 
 
+def test_multipoly_coefficient_contract():
+    # integral coefficients are held as ints, whatever form they came in
+    two = MultiPoly.monomial(2, (1, 0), Fraction(4, 2))
+    assert two.terms == {(1, 0): 2} and type(two.terms[(1, 0)]) is int
+    by_int = MultiPoly(2, {(1, 0): 2, (0, 1): Fraction(1, 2), (1, 1): "3"})
+    by_fraction = MultiPoly(2, {(1, 0): Fraction(2), (0, 1): Fraction(1, 2), (1, 1): Fraction(3)})
+    assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+    assert [type(c) for c in by_int.terms.values()] == [int, Fraction, int]
+    with pytest.raises(TypeError):
+        MultiPoly.monomial(2, (1, 0), 0.5)
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(0,): 1.0})
+    with pytest.raises(TypeError):
+        two * 0.5
+    # the sum of the coefficients stays a Fraction
+    assert type(two.eval_all_ones()) is Fraction and two.eval_all_ones() == 2
+    assert type(MultiPoly.zero(3).eval_all_ones()) is Fraction
+
+
+def _in_normal_form(p):
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction) and c
+               for c in p.terms.values())
+
+
+half_mpoly = st.lists(st.tuples(mono_exps, coeff.map(lambda v: Fraction(v, 2))), max_size=5).map(
+    lambda ts: sum((MultiPoly.monomial(2, e, c) for e, c in ts), MultiPoly.zero(2))
+)
+
+
+@given(half_mpoly, half_mpoly, mpoly)
+@settings(max_examples=50, deadline=None)
+def test_multipoly_results_stay_in_normal_form(a, b, c):
+    # halves sum and multiply to integers as often as not; those must
+    # come back as ints, and the integer polynomial c must stay in ints
+    for p in (a, b, a + b, a - b, -a, a * b, a * c, a * 2, a * Fraction(2, 3),
+              Fraction(1, 2) * c, c * c, a.embed(3, 1), a.set_var_zero(0)):
+        assert _in_normal_form(p), p
+    assert all(type(v) is int for v in (c * c + c * 3).terms.values())
+    assert (a + b) * 2 == a * 2 + b * 2
+
+
 def test_multipoly_set_var_zero():
     # the substituted slot disappears, narrowing the arity
     p = MultiPoly.monomial(2, (0, 2), 3) + MultiPoly.monomial(2, (1, 1), 5)

@@ -599,3 +599,38 @@ def test_closure_cap_trips_where_the_double_loop_does(monkeypatch, family, n):
             multiplicative_closure(sums, cap=cap)
         monkeypatch.undo()
         assert got == want and len(got) == cap + 1
+
+
+def _simple_reflections(group, n):
+    """Basis elements of the Coxeter generators, whose closure is the whole
+    group algebra (the identity alone at S_1)."""
+    ident = list(identity_perm(n))
+    gens = []
+    for i in range(n - 1):
+        s = ident[:]
+        s[i], s[i + 1] = s[i + 1], s[i]
+        gens.append(s)
+    if group == "B":
+        gens.append([-1] + ident[1:])
+    return [GAElem.basis(group, g) for g in gens or [ident]]
+
+
+@pytest.mark.parametrize("group,n", [("S", n) for n in range(1, 5)]
+                         + [("B", n) for n in range(1, 4)])
+def test_default_closure_cap_is_the_group_order(group, n):
+    # the default cap admits a closure of the full dimension |G|, as the
+    # old cap len(iterate_group(...)) did, and one less trips
+    gens = _simple_reflections(group, n)
+    order = len(perms.iterate_group(group, n))
+    full = multiplicative_closure(gens)
+    assert len(full) == order
+    assert [e.terms for e in full] == [e.terms for e in _closure_by_pairs(gens, None, basis_insert, [])]
+    with pytest.raises(ResourceLimitError, match=f"cap {order - 1}"):
+        multiplicative_closure(gens, cap=order - 1)
+
+
+def test_default_closure_cap_enumerates_no_group(monkeypatch):
+    monkeypatch.setattr(limits, "_CACHES", {})
+    one = GAElem.basis("S", identity_perm(8))
+    assert multiplicative_closure([one]) == [one]
+    assert ("S", 8) not in limits._CACHES.get("groups", {})

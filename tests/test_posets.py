@@ -18,6 +18,7 @@ from peaklab import (
     zigzag_poset,
 )
 from peaklab.exact import MultiPoly
+from peaklab.perms import iterate_group
 from peaklab.posets import (
     IMAGE_SET_KINDS,
     b_enriched_alphabet,
@@ -159,6 +160,73 @@ def test_chain_weight_sum_edges():
         chain_weight_sum(ordinary_alphabet(2), (1,), anchored=True)
     with pytest.raises(ValueError):
         chain_weight_sum(ordinary_alphabet(2), (1,), mode="table")
+
+
+def _chain_sum_by_multipoly(alphabet, labels, anchored):
+    """The chain scan with MultiPoly weights, as the mode-generic loop ran
+    it before poly mode moved to packed integer exponents."""
+    arity = alphabet.arity
+    weights = [MultiPoly.monomial(arity, e) for e in alphabet.exps]
+    zero = MultiPoly.zero(arity)
+    if anchored:
+        state = [zero] * alphabet.size
+        state[alphabet.zero] = MultiPoly.constant(arity, 1)
+        prev, todo = 0, list(labels)
+    else:
+        if not labels:
+            return MultiPoly.constant(arity, 1)
+        state, prev, todo = list(weights), labels[0], list(labels[1:])
+    for lab in todo:
+        need = 1 if prev < lab else -1
+        run, new = zero, []
+        for j in range(alphabet.size):
+            stay = state[j] if alphabet.eps[j] == need else zero
+            new.append(weights[j] * (run + stay))
+            run = run + state[j]
+        state, prev = new, lab
+    total = zero
+    for s in state:
+        total = total + s
+    return total
+
+
+_CHAIN_ALPHABETS = [
+    *(build(k) for build in (ordinary_alphabet, enriched_alphabet, left_enriched_alphabet,
+                             right_enriched_alphabet, exterior_enriched_alphabet,
+                             ordinary_b_alphabet, b_enriched_alphabet) for k in (1, 2)),
+    exterior_enriched_alphabet(0),
+    *(product_alphabet(first, second, mode) for mode in ("lex", "updown")
+      for first, second in ((ordinary_alphabet(1), enriched_alphabet(2)),
+                            (left_enriched_alphabet(1), right_enriched_alphabet(1)),
+                            (enriched_alphabet(2), left_enriched_alphabet(2)),
+                            (b_enriched_alphabet(1), ordinary_b_alphabet(1)))),
+]
+
+
+@pytest.mark.parametrize("alphabet", _CHAIN_ALPHABETS, ids=lambda a: a.name)
+def test_packed_chain_sum_matches_the_multipoly_scan(alphabet):
+    chains = [(p, False) for n in range(1, 5) for p in iterate_group("S", n)]
+    chains += [(p, False) for n in range(1, 4) for p in iterate_group("B", n)]
+    if alphabet.zero is not None:
+        chains += [(p, True) for n in range(1, 4) for p in iterate_group("B", n)]
+        chains.append(((), True))
+    chains.append(((), False))
+    for labels, anchored in chains:
+        got = chain_weight_sum(alphabet, labels, anchored=anchored, mode="poly")
+        assert got == _chain_sum_by_multipoly(alphabet, labels, anchored), (labels, anchored)
+        count = chain_weight_sum(alphabet, labels, anchored=anchored)
+        assert got.eval_all_ones() == count, (labels, anchored)
+
+
+def test_packed_chain_sum_reaches_the_chain_length_in_one_slot():
+    # all six elements on the single letter: z_1^6, the largest digit the
+    # packing has to hold without a carry
+    labels = iterate_group("S", 6)[0]
+    got = chain_weight_sum(ordinary_alphabet(1), labels, mode="poly")
+    assert got == MultiPoly.monomial(2, (0, 6))
+    assert got == _chain_sum_by_multipoly(ordinary_alphabet(1), labels, False)
+    two = product_alphabet(ordinary_alphabet(1), ordinary_alphabet(1), "lex")
+    assert chain_weight_sum(two, labels, mode="poly") == MultiPoly.monomial(4, (0, 6, 0, 6))
 
 
 # --- poset construction -----------------------------------------------------------
