@@ -34,7 +34,7 @@ from .groupalgebra import (
     structure_constants,
     verify_identity,
 )
-from .limits import ResourceLimitError
+from .limits import ResourceLimitError, memo
 from .orderpolys import (
     IDENTITIES_43,
     ORDER_POLY_KINDS,
@@ -297,7 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # one parser per process, built on the first request; each parse_args
+    # call fills a fresh Namespace, so no request sees another's arguments
+    args = memo("cli_parser", (), _build_parser).parse_args(argv)
     try:
         code, payload = args.handler(args)
     except ResourceLimitError as exc:

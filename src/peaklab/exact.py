@@ -5,7 +5,8 @@ Everything downstream (order polynomials, structure polynomials, idempotent
 coefficients, quasisymmetric realizations) is built on the three containers
 here:
 
-* UniPoly    -- dense univariate polynomial over Fraction,
+* UniPoly    -- dense univariate polynomial with exact rational coefficients,
+                held as ints when integral,
 * RationalGF -- quotient of integer polynomials, compared exactly,
 * MultiPoly  -- sparse multivariate polynomial with a fixed number of slots,
 
@@ -38,26 +39,52 @@ def as_fraction(value) -> Fraction:
 
 def format_rational(q) -> str:
     """Serialize a rational as 'p' or 'p/q'."""
+    if type(q) is int:
+        return str(q)
     q = as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
+def _coefficient(value):
+    """An exact coefficient in normal form: an int when it is integral,
+    else a Fraction.  Floats are refused."""
+    if isinstance(value, int):
+        return int(value)
+    q = as_fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _normal_coeffs(cs: list) -> tuple:
+    """A coefficient list in normal form: each integral value as an int,
+    trailing zeros trimmed."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(c.numerator if c.denominator == 1 else c for c in cs)
+
+
 class UniPoly:
     """Dense univariate polynomial; coeffs[i] multiplies the i-th power.
 
     Trailing zeros are trimmed, so the zero polynomial has no coefficients
-    and degree -1.
+    and degree -1.  Coefficients are held as ints when integral and as
+    Fractions only otherwise, so integer polynomials (every peak, Eulerian
+    and generating-function polynomial here) stay in integer arithmetic;
+    evaluation and coeff() still return Fractions.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int | Fraction, ...] = _normal_coeffs([_coefficient(c) for c in coeffs])
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "UniPoly":
+        """Wrap coefficients that are already in normal form, unchecked."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -103,12 +130,12 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return UniPoly._trusted(_normal_coeffs(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._trusted(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "UniPoly":
         return self + (-other if isinstance(other, UniPoly) else UniPoly((-as_fraction(other),)))
@@ -118,25 +145,26 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return UniPoly(tuple(a * c for a in self.coeffs))
+            c = _coefficient(other)
+            return UniPoly._trusted(_normal_coeffs([a * c for a in self.coeffs]))
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return UniPoly._trusted(())
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = other.coeffs
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+                for j, b in enumerate(right, i):
+                    out[j] += a * b
+        return UniPoly._trusted(_normal_coeffs(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = UniPoly.one()
+        out = UniPoly._trusted((1,))
         base = self
         while k:
             if k & 1:
@@ -146,25 +174,29 @@ class UniPoly:
         return out
 
     def __call__(self, x) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
+        x = _coefficient(x)
+        p, q = x.numerator, x.denominator
+        # Horner on a numerator over a denominator, reduced once at the end
+        num, den = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            cn, cd = c.numerator, c.denominator
+            num = num * p * cd + cn * den * q
+            den *= q * cd
+        return Fraction(num, den)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute `inner` for the variable (Horner over polynomials)."""
-        acc = UniPoly()
+        acc = UniPoly._trusted(())
         for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly((c,))
+            acc = acc * inner + c
         return acc
 
     def negate_var(self) -> "UniPoly":
         """p(t) -> p(-t)."""
-        return UniPoly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        return UniPoly._trusted(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.coeffs[i]) if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -279,22 +311,23 @@ class RationalGF:
             den = UniPoly((den,)) if isinstance(den, (int, Fraction)) else UniPoly(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if den.coeff(0) == 0:
+        if not den.coeffs[0]:
             raise ValueError("denominator needs a nonzero constant term")
         if not num:
-            self.num = UniPoly()
-            self.den = UniPoly.one()
+            self.num = UniPoly._trusted(())
+            self.den = UniPoly._trusted((1,))
             return
-        scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        n_ints = [int(c * scale) for c in num.coeffs]
-        d_ints = [int(c * scale) for c in den.coeffs]
-        content = 0
-        for v in n_ints + d_ints:
-            content = gcd(content, v)
+        n_ints, d_ints = num.coeffs, den.coeffs
+        scale = lcm(*(c.denominator for c in n_ints + d_ints))
+        if scale != 1:
+            n_ints = [int(c * scale) for c in n_ints]
+            d_ints = [int(c * scale) for c in d_ints]
+        content = gcd(*n_ints, *d_ints)
         if d_ints[-1] < 0:
             content = -content
-        self.num = UniPoly([v // content for v in n_ints])
-        self.den = UniPoly([v // content for v in d_ints])
+        # dividing out the content keeps every leading coefficient nonzero
+        self.num = UniPoly._trusted(tuple(v // content for v in n_ints))
+        self.den = UniPoly._trusted(tuple(v // content for v in d_ints))
 
     @classmethod
     def constant(cls, c) -> "RationalGF":
@@ -329,7 +362,7 @@ class RationalGF:
 
     def __mul__(self, other) -> "RationalGF":
         if isinstance(other, (int, Fraction)):
-            return RationalGF(self.num * as_fraction(other), self.den)
+            return RationalGF(self.num * other, self.den)
         if isinstance(other, UniPoly):
             other = RationalGF(other)
         if not isinstance(other, RationalGF):
@@ -345,15 +378,20 @@ class RationalGF:
 
     def coeffs(self, count: int) -> list[Fraction]:
         """First `count` power-series coefficients, by the linear recurrence
-        the denominator imposes."""
-        d0 = self.den.coeff(0)
-        out: list[Fraction] = []
+        the denominator imposes.  The recurrence runs in ints for as long as
+        the constant term of the denominator divides evenly."""
+        num, den = self.num.coeffs, self.den.coeffs
+        d0 = den[0]
+        out: list = []
         for k in range(count):
-            acc = self.num.coeff(k)
-            for j in range(1, min(k, self.den.degree) + 1):
-                acc -= self.den.coeff(j) * out[k - j]
-            out.append(acc / d0)
-        return out
+            acc = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            if isinstance(acc, int) and acc % d0 == 0:
+                out.append(acc // d0)
+            else:
+                out.append(Fraction(acc, d0))
+        return [c if isinstance(c, Fraction) else Fraction(c) for c in out]
 
     def even_part(self) -> "RationalGF":
         """The series sum a_{2k} t^k when self is sum a_k t^k.
@@ -365,16 +403,14 @@ class RationalGF:
         """
         p = self.num * self.den.negate_var()
         q = self.den * self.den.negate_var()
-        if any(q.coeff(i) != 0 for i in range(1, q.degree + 1, 2)):
+        if any(q.coeffs[1::2]):
             raise AssertionError("den(s)*den(-s) must be even")
-        p_even = UniPoly(tuple(p.coeff(i) for i in range(0, max(p.degree, 0) + 1, 2)))
-        q_even = UniPoly(tuple(q.coeff(i) for i in range(0, q.degree + 1, 2)))
-        return RationalGF(p_even, q_even)
+        return RationalGF(UniPoly(p.coeffs[::2]), UniPoly(q.coeffs[::2]))
 
     def to_json(self) -> dict:
         return {
-            "num": [int(c) for c in self.num.coeffs],
-            "den": [int(c) for c in self.den.coeffs],
+            "num": list(self.num.coeffs),
+            "den": list(self.den.coeffs),
         }
 
     @classmethod
@@ -388,15 +424,6 @@ class RationalGF:
 def gf_coeffs(gf: RationalGF, count: int) -> list[Fraction]:
     """Power-series prefix of a rational generating function."""
     return gf.coeffs(count)
-
-
-def _coefficient(value):
-    """An exact coefficient in normal form: an int when it is integral,
-    else a Fraction.  Floats are refused."""
-    if isinstance(value, int):
-        return int(value)
-    q = as_fraction(value)
-    return q.numerator if q.denominator == 1 else q
 
 
 class MultiPoly:

@@ -496,6 +496,8 @@ def structure_constants(n: int, family: str, force: bool = False) -> dict:
     """
     if family not in _CONSTANT_FAMILIES:
         raise ValueError(f"structure constants run on set-valued families, not {family!r}")
+    if n < 0:
+        raise ValueError("need n >= 0")
     group = CLASS_FAMILIES[family][0]
     check_limit(f"{group}-group table", n, VERIFY_MAX[group], force)
     elements = iterate_group(group, n, force)

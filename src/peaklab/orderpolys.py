@@ -16,7 +16,7 @@ from fractions import Fraction
 from .exact import RationalGF, UniPoly, binom_poly, interpolate
 from .limits import memo
 from .perms import STATISTICS, iterate_group, validate_perm
-from .posets import IMAGE_SET_KINDS, chain_weight_sum
+from .posets import IMAGE_SET_KINDS, chain_weight_sum, shared_alphabet
 
 
 def _sizes(*names: str):
@@ -76,9 +76,10 @@ def _enriched_poly(pi, kind: str) -> UniPoly:
     params = stat(pi)
 
     def build() -> UniPoly:
-        alphabet = IMAGE_SET_KINDS[image_kind]
+        builder = IMAGE_SET_KINDS[image_kind]
         anchored = group == "B"
-        counts = [chain_weight_sum(alphabet(k), pi, anchored=anchored) for k in range(n + 3)]
+        counts = [chain_weight_sum(shared_alphabet(builder, k), pi, anchored=anchored)
+                  for k in range(n + 3)]
         poly = interpolate(list(enumerate(counts[: n + 1])))
         series = class_gf(kind, n, params).coeffs(n + 3)
         for k in range(n + 3):
@@ -170,6 +171,8 @@ def peak_polynomial(n: int, kind: str, i: int | None = None, force: bool = False
       W_plus             t^(pe_B) over pi(1) > 0
       W_minus            t^(pe_B + 1) over pi(1) < 0
       W_weighted         t^(des_B) over exactly i negative entries
+
+    Each polynomial is computed once per (n, kind, i) and shared.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -192,18 +195,23 @@ def peak_polynomial(n: int, kind: str, i: int | None = None, force: bool = False
     if kind not in table:
         raise ValueError(f"unknown peak polynomial kind {kind!r}")
     group, stat, shift, keep = table[kind]
-    mask = STATISTICS[stat]
-    buckets: dict[int, int] = {}
-    for p in iterate_group(group, n, force):
-        if keep is None or keep(p):
-            e = mask(p).bit_count() + shift
-            buckets[e] = buckets.get(e, 0) + 1
-    if not buckets:
-        return UniPoly()
-    coeffs = [0] * (max(buckets) + 1)
-    for e, c in buckets.items():
-        coeffs[e] = c
-    return UniPoly(coeffs)
+    elements = iterate_group(group, n, force)
+
+    def build() -> UniPoly:
+        mask = STATISTICS[stat]
+        buckets: dict[int, int] = {}
+        for p in elements:
+            if keep is None or keep(p):
+                e = mask(p).bit_count() + shift
+                buckets[e] = buckets.get(e, 0) + 1
+        if not buckets:
+            return UniPoly()
+        coeffs = [0] * (max(buckets) + 1)
+        for e, c in buckets.items():
+            coeffs[e] = c
+        return UniPoly(coeffs)
+
+    return memo("peak_polys", (n, kind, i), build)
 
 
 def poly_at_gf(p: UniPoly, g: RationalGF) -> RationalGF:

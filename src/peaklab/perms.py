@@ -302,14 +302,3 @@ def iterate_group(group: str, n: int, force: bool = False) -> tuple[Perm, ...]:
     group = group_name(group)
     elements = (symmetric_group if group == "S" else hyperoctahedral_group)(n, force)
     return memo("groups", (group, n), lambda: tuple(elements))
-
-
-def special_elements(n: int) -> dict:
-    """The decreasing element, the long cycle, and the append-n embedding."""
-
-    def hat_n(p: Perm) -> Perm:
-        if len(p) != n - 1:
-            raise ValueError(f"hat at n={n} wants a permutation of size {n - 1}")
-        return hat(p)
-
-    return {"eta": eta(n), "omega": omega(n), "hat": hat_n}

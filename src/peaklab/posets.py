@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .exact import MultiPoly
-from .limits import IMAGE_SET_MAX_K, LINEXT_MAX, POSET_ORACLE_MAX_N, check_limit
+from .limits import IMAGE_SET_MAX_K, LINEXT_MAX, POSET_ORACLE_MAX_N, check_limit, memo
 from .perms import Perm, iterate_group, validate_perm
 
 
@@ -214,6 +214,12 @@ IMAGE_SET_KINDS = {
 }
 
 _SIGNED_KINDS = {"ordinaryB", "B_enriched"}
+
+
+def shared_alphabet(builder, k: int) -> Alphabet:
+    """builder(k), built once per (builder, k) and shared by every caller;
+    an Alphabet is frozen, so sharing one is safe."""
+    return memo("alphabets", (builder, k), lambda: builder(k))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .posets import (
     left_enriched_alphabet,
     ordinary_alphabet,
     product_alphabet,
+    shared_alphabet,
 )
 
 __all__ = [
@@ -403,7 +404,7 @@ def truncated_enumerator(pi, flavor: str, m: int, force: bool = False) -> MultiP
     check_limit("variable truncation", m, IMAGE_SET_MAX_K, force)
     signed, _, _, _, alphabet = _FLAVORS[flavor]
     p = validate_perm(pi, signed=signed)
-    return chain_weight_sum(alphabet(m), p, anchored=signed, mode="poly")
+    return chain_weight_sum(shared_alphabet(alphabet, m), p, anchored=signed, mode="poly")
 
 
 # --- K-function rank -------------------------------------------------------------
@@ -473,7 +474,7 @@ def _factor_table(builder, k: int, n: int, force: bool) -> list[MultiPoly]:
     elements = iterate_group(group, n, force)
 
     def build() -> list[MultiPoly]:
-        alpha = builder(k)
+        alpha = shared_alphabet(builder, k)
         polys = [chain_weight_sum(alpha, g, anchored=group == "B", mode="poly") for g in elements]
         for g, c, poly in zip(elements, classes, polys):
             if poly != polys[first[c]]:
@@ -489,7 +490,7 @@ def _equation(firstb, secondb, mode: str, p: int, q: int, n: int, force: bool):
     over the second alphabet and F of tau over the first, embedded in the
     product's p + q + 2 slots."""
     arity = p + q + 2
-    return (product_alphabet(firstb(p), secondb(q), mode),
+    return (product_alphabet(shared_alphabet(firstb, p), shared_alphabet(secondb, q), mode),
             [g.embed(arity, p + 1) for g in _factor_table(secondb, q, n, force)],
             [f.embed(arity, 0) for f in _factor_table(firstb, p, n, force)])
 

@@ -118,6 +118,12 @@ def test_nonpositive_n_exits_two(capsys, argv):
     assert "need n >= 1" in err
 
 
+def test_negative_n_structure_constants_exits_two(capsys):
+    code, payload, err = run(capsys, "structure-constants", "--family", "descent_set", "-n", "-1")
+    assert code == 2 and payload is None
+    assert "need n >= 0" in err
+
+
 def test_verify_all_reports_each_refusal(capsys):
     # the peak-polynomial checks refuse n = 0; the others still run
     code, payload, err = run(capsys, "verify", "--all", "-n", "0")
@@ -246,3 +252,82 @@ def test_module_subprocess_exit_codes():
     proc = cli("verify", "--theorem", "ges", "-n", "7")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def _fresh_process(*argv, env_extra=None):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PEAKLAB_MAX_N", None)
+    return subprocess.run([sys.executable, "-m", "peaklab.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = 0
+    build = cli._build_parser
+
+    def counting():
+        nonlocal built
+        built += 1
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(limits, "_CACHES", {})
+    for _ in range(3):
+        assert main(["stats", "[2,1,4,3,5]"]) == 0
+        assert main(["peak-table", "-n", "2"]) == 0
+        assert main(["verify", "--theorem", "ges", "-n", "2"]) == 0
+        assert main(["closure", "--family", "descent_num", "-n", "-1"]) == 0
+    capsys.readouterr()
+    assert built == 1
+
+
+def test_parser_is_not_built_at_import():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import peaklab.cli, peaklab.limits as l; print(sorted(l._CACHES))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_usage_error_and_help_leave_the_parser_as_new(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PEAKLAB_MAX_N", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["peak-table", "-n", "x"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    valid = ["verify", "--theorem", "peeul2", "-n", "3"]
+    assert main(valid) == 0
+    out = capsys.readouterr().out
+    for argv, code, stdout, stderr in (
+        (["peak-table", "-n", "x"], 2, "", usage.err),
+        (["verify", "--help"], 0, help_text, ""),
+        (valid, 0, out, ""),
+    ):
+        proc = _fresh_process(*argv, env_extra={"COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout) == (code, stdout), argv
+        assert proc.stderr == stderr
+
+
+@pytest.mark.parametrize("first, second, checked", [
+    (["--all"], ["--theorem", "ges"], 1),
+    (["--theorem", "ges"], ["--all"], len(all_theorem_ids())),
+])
+def test_verify_requests_carry_no_state(capsys, first, second, checked):
+    main(["verify", *first, "-n", "2"])
+    capsys.readouterr()
+    code, payload, _ = run(capsys, "verify", *second, "-n", "2")
+    assert code == 0 and payload["checked"] == checked
+    if checked == 1:
+        assert [r["theorem"] for r in payload["results"]] == ["ges"]

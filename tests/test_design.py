@@ -8,7 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import peaklab
-from peaklab import groupalgebra, posets
+from peaklab import groupalgebra, limits, orderpolys, posets
+from peaklab.exact import UniPoly
 
 # Imports every peaklab module, records the size of each module-level
 # container, runs one call into each cached layer and prints every
@@ -81,3 +82,28 @@ def test_poly_chain_sum_builds_no_fraction(monkeypatch):
     assert made == 0 and all(polys)
     polys[0].eval_all_ones()
     assert made > 0  # the counter sees a Fraction when one is made
+
+
+def test_section_43_identities_build_no_fraction(monkeypatch):
+    made = 0
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return make(cls, *args, **kwargs)
+
+    n = 4
+    # only the series that coeffs() returns are Fractions: six probe terms
+    # in bpeeul1 and n + 3 terms for each of the n + 1 series in bpeeul2
+    returned = {"bpeeul1": 6, "bpeeul2": (n + 1) * (n + 3)}
+    monkeypatch.setattr(limits, "_CACHES", {})
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for which in orderpolys.IDENTITIES_43:
+        made = 0
+        # cold caches: the group scans and peak polynomials are counted too
+        assert orderpolys.identity_check_43(n, which)
+        assert made == returned.get(which, 0), which
+    made = 0
+    UniPoly((1, 1))(2)
+    assert made == 1  # the counter sees a Fraction when one is made

@@ -123,6 +123,104 @@ def test_gf_json_round_trip():
     assert RationalGF.from_json(g.to_json()) == g
 
 
+def test_unipoly_coefficient_contract():
+    # integral coefficients are held as ints, whatever form they came in
+    p = UniPoly((Fraction(4, 2), "3", Fraction(1, 2), Fraction(0)))
+    assert p.coeffs == (2, 3, Fraction(1, 2))
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction]
+    q = UniPoly((2, Fraction(3), "1/2"))
+    assert p == q and hash(p) == hash(q)
+    assert UniPoly((Fraction(6, 3),)) == 2 == UniPoly((2,))
+    assert hash(UniPoly((Fraction(6, 3),))) == hash(UniPoly((2,)))
+    for bad in (lambda: UniPoly((0.5,)), lambda: p * 0.5, lambda: p(0.5),
+                lambda: UniPoly.constant(1.0)):
+        with pytest.raises(TypeError):
+            bad()
+    # evaluation and coefficient lookups stay Fractions
+    assert p(3) == Fraction(31, 2) and type(p(3)) is Fraction
+    assert UniPoly((1, 2))(2) == 5 and type(UniPoly((1, 2))(2)) is Fraction
+    assert UniPoly()(Fraction(1, 3)) == 0 and type(UniPoly()(7)) is Fraction
+    assert [p.coeff(i) for i in (0, 2, 7, -1)] == [2, Fraction(1, 2), 0, 0]
+    assert {type(p.coeff(i)) for i in (0, 2, 7, -1)} == {Fraction}
+
+
+def test_rationalgf_coefficient_contract():
+    # (1/2 + t) / (3/2 - t/2) in normal form: (-1 - 2t) / (-3 + t), all ints
+    g = RationalGF(UniPoly((Fraction(1, 2), 1)), UniPoly((Fraction(3, 2), Fraction(-1, 2))))
+    assert (g.num.coeffs, g.den.coeffs) == ((-1, -2), (-3, 1))
+    assert {type(c) for c in g.num.coeffs + g.den.coeffs} == {int}
+    assert g.to_json() == {"num": [-1, -2], "den": [-3, 1]}
+    # the series leaves the integers when the constant term stops dividing
+    assert g.coeffs(3) == [Fraction(1, 3), Fraction(7, 9), Fraction(7, 27)]
+    assert RationalGF(UniPoly((1, 3)), UniPoly((3,))).coeffs(3) == [Fraction(1, 3), 1, 0]
+    assert RationalGF(UniPoly.one(), UniPoly((-1, 1))).coeffs(3) == [-1, -1, -1]
+    for series in (g.coeffs(4), gf_coeffs(RationalGF(UniPoly((0, 2)), UniPoly((1, -2, 1))), 4),
+                   RationalGF(UniPoly((1, 3)), UniPoly((3,))).coeffs(3)):
+        assert {type(c) for c in series} == {Fraction}
+    with pytest.raises(TypeError):
+        g * 0.5
+    with pytest.raises(TypeError):
+        RationalGF(UniPoly.one(), UniPoly((1.0,)))
+
+
+def _fraction_product(a, b):
+    """The Fraction convolution UniPoly ran before its integer kernel, kept
+    as the reference for the product."""
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += Fraction(x) * Fraction(y)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _fraction_value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_series(g, count):
+    """The Fraction recurrence RationalGF.coeffs ran before, as the reference."""
+    out = []
+    for k in range(count):
+        acc = Fraction(g.num.coeff(k))
+        for j in range(1, min(k, g.den.degree) + 1):
+            acc -= g.den.coeff(j) * out[k - j]
+        out.append(acc / g.den.coeff(0))
+    return out
+
+
+def _uni_normal(p):
+    return (not p.coeffs or p.coeffs[-1] != 0) and all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in p.coeffs)
+
+
+half_poly = st.lists(coeff.map(lambda v: Fraction(v, 2)), max_size=5).map(UniPoly)
+half = coeff.map(lambda v: Fraction(v, 2))
+
+
+@given(half_poly, half_poly, poly, half)
+@settings(max_examples=60, deadline=None)
+def test_unipoly_results_stay_in_normal_form(a, b, c, x):
+    # halves sum and multiply to integers as often as not; those must come
+    # back as ints, and the integer polynomial c must stay in ints
+    for p in (a, b, a + b, a - b, -a, a * b, a * c, a * 2, a * Fraction(2, 3), a * 0,
+              Fraction(1, 2) * c, a + 1, 1 - a, a ** 2, c ** 3, a.compose(b), a.compose(c),
+              c.compose(a), a.negate_var(), c * c, c.compose(c)):
+        assert _uni_normal(p), p
+    assert all(type(v) is int for v in (c * c + c * 3).compose(c - 1).negate_var().coeffs)
+    for left, right in ((a, b), (a, c), (c, c)):
+        assert list((left * right).coeffs) == _fraction_product(left, right)
+    for p in (a, c, a * c):
+        assert p(x) == _fraction_value(p, x) and type(p(x)) is Fraction
+    g = RationalGF(a * c, UniPoly((1,)) + b * UniPoly.x())
+    assert {type(v) for v in g.num.coeffs + g.den.coeffs} <= {int}
+    assert g.coeffs(6) == _fraction_series(g, 6)
+
+
 mono_exps = st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2)
 mpoly = st.lists(st.tuples(mono_exps, coeff), max_size=5).map(
     lambda ts: sum(

@@ -31,7 +31,7 @@ from peaklab import (
 from peaklab import groupalgebra, limits, perms
 from peaklab.exact import UniPoly, basis_insert, interpolate
 from peaklab.groupalgebra import STRUCTURE_FAMILIES, ga_multiply
-from peaklab.orderpolys import order_polynomial
+from peaklab.orderpolys import order_polynomial, peak_polynomial
 from peaklab.perms import eta, identity_perm, symmetric_group, hyperoctahedral_group
 
 
@@ -263,6 +263,9 @@ def test_structure_constants_descent_set():
         structure_constants(3, "descent_num")
     with pytest.raises(ResourceLimitError):
         structure_constants(7, "descent_set")
+    with pytest.raises(ValueError, match="need n >= 0"):
+        structure_constants(-1, "descent_set")
+    assert structure_constants(0, "descent_set")["tensor"] == [[[1]]]
 
 
 def test_minimal_non_algebra():
@@ -332,8 +335,9 @@ def test_forced_call_does_not_lift_a_later_guard(monkeypatch):
     structure_polynomial(3, "rho", force=True)
     assert verify_identity(3, "ges", force=True)["ok"]
     assert bipartite_check((1, 3, 2), "gesA", 2, 2, force=True)
+    assert peak_polynomial(3, "W_left", force=True) == UniPoly((1, 5))
     assert {"groups", "class_tables", "class_polys", "enriched_polys", "pair_rows",
-            "factor_tables"} <= set(limits._CACHES)
+            "factor_tables", "peak_polys"} <= set(limits._CACHES)
     for unforced in (
         lambda: perms.iterate_group("S", 3),
         lambda: family_labels("descent_num", 3),
@@ -341,6 +345,7 @@ def test_forced_call_does_not_lift_a_later_guard(monkeypatch):
         lambda: structure_polynomial(3, "rho"),
         lambda: verify_identity(3, "ges"),
         lambda: bipartite_check((1, 3, 2), "gesA", 2, 2),
+        lambda: peak_polynomial(3, "W_left"),
     ):
         with pytest.raises(ResourceLimitError):
             unforced()

@@ -21,6 +21,7 @@ from peaklab import (
     reciprocity_check,
     symmetric_group,
 )
+from peaklab import cli, limits, orderpolys
 from peaklab.orderpolys import ORDER_POLY_KINDS, poly_at_gf
 from peaklab.exact import RationalGF
 
@@ -175,3 +176,29 @@ def test_identity_check_43_small(which):
 def test_identity_check_43_unknown():
     with pytest.raises(ValueError):
         identity_check_43(2, "peeul3")
+
+
+def test_peak_table_scans_each_group_once_per_kind(monkeypatch, capsys):
+    scans = []
+    group_of = orderpolys.iterate_group
+
+    class Scanned(tuple):
+        def __iter__(self):
+            scans.append(self.name)
+            return super().__iter__()
+
+    def counting(group, n, force=False):
+        out = Scanned(group_of(group, n, force))
+        out.name = (group, n)
+        return out
+
+    monkeypatch.setattr(orderpolys, "iterate_group", counting)
+    monkeypatch.setattr(limits, "_CACHES", {})
+    assert cli.main(["peak-table", "-n", "4"]) == 0
+    # seven kinds and W_weighted at i = 0..4, one scan each; the identity
+    # checks reuse the same polynomials
+    assert len(scans) == len(cli._PEAK_TABLE_KINDS) + 5
+    assert scans.count(("S", 4)) == 3 and scans.count(("B", 4)) == 4 + 5
+    assert cli.main(["peak-table", "-n", "4"]) == 0
+    assert len(scans) == len(cli._PEAK_TABLE_KINDS) + 5
+    capsys.readouterr()

@@ -34,6 +34,7 @@ from peaklab.perms import (
     compose,
     hyperoctahedral_group,
     inverse,
+    iterate_group,
     peak_mask,
     sign_mask,
     symmetric_group,
@@ -372,3 +373,20 @@ def test_verify_hook():
     assert verify_hook("fib_rank_B", 3)["ok"]
     with pytest.raises(ValueError):
         verify_hook("gf_right", 2)
+
+
+def test_truncated_enumerator_builds_each_alphabet_once(monkeypatch):
+    built = {}
+    for flavor, (*head, builder) in list(qsym._FLAVORS.items()):
+        def counting(k, builder=builder):
+            built[builder.__name__, k] = built.get((builder.__name__, k), 0) + 1
+            return builder(k)
+
+        monkeypatch.setitem(qsym._FLAVORS, flavor, (*head, counting))
+    monkeypatch.setattr(limits, "_CACHES", {})
+    for flavor, group in (("interior", "S"), ("left", "S"), ("B", "B")):
+        for pi in iterate_group(group, 3):
+            for m in (1, 2, 3):
+                truncated_enumerator(pi, flavor, m)
+    names = ("enriched_alphabet", "left_enriched_alphabet", "b_enriched_alphabet")
+    assert built == {(name, m): 1 for name in names for m in (1, 2, 3)}
