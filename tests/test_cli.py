@@ -233,30 +233,6 @@ def test_console_script_subprocess():
     assert json.loads(proc.stdout)["peak_interior"]["set"] == [3]
 
 
-def test_module_subprocess_exit_codes():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("PEAKLAB_MAX_N", None)
-
-    def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "peaklab.cli", *argv],
-                              capture_output=True, text=True, timeout=120, env=env)
-
-    proc = cli("stats", "[2,1,4,3,5]")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["peak_interior"]["set"] == [3]
-    proc = cli("peak-table", "-n", "0")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    proc = cli("verify", "--theorem", "ges", "-n", "7")
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-
-
-# --- one parser per process ----------------------------------------------------
-
-
 def _fresh_process(*argv, env_extra=None):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, **(env_extra or {}))
@@ -264,6 +240,21 @@ def _fresh_process(*argv, env_extra=None):
     env.pop("PEAKLAB_MAX_N", None)
     return subprocess.run([sys.executable, "-m", "peaklab.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_module_subprocess_exit_codes():
+    proc = _fresh_process("stats", "[2,1,4,3,5]")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["peak_interior"]["set"] == [3]
+    proc = _fresh_process("peak-table", "-n", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    proc = _fresh_process("verify", "--theorem", "ges", "-n", "7")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+# --- one parser per process ----------------------------------------------------
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
