@@ -4,7 +4,7 @@ Every subcommand is a thin adapter; no counting or algebra happens here.
 Exit status: 0 when the requested computation or checks succeed, 1 when a
 verified identity reports a failure, 2 on unusable input, 3 when a size
 guard refuses the computation (PEAKLAB_MAX_N raises the guards, --force
-drops them).
+drops them).  A closed stdout does not change the exit status.
 
 `verify --all` runs every check even when some refuse: a check that raises
 a guard or input error becomes a result with "ok": null and its "refused"
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -125,7 +126,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     refusals = set()
     for tid in ids:
         try:
-            res = verify_identity(args.n, tid, force=args.force, sample=args.sample)
+            res = verify_identity(args.n, tid, force=args.force)
         except (ResourceLimitError, ValueError) as exc:
             if not args.all:
                 raise
@@ -260,9 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--theorem", help="one registered theorem id")
     which.add_argument("--all", action="store_true", help="every registered id")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None,
-                   help="seeded grid nodes per product, at least 1; lifts the table guard "
-                   "(S_n to 6, B_n to 4) but not the group-iteration guard")
     _add_force(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -308,7 +306,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: keep the code, and let the flush at exit hit devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

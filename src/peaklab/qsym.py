@@ -588,12 +588,16 @@ _RANK_SHIFT = {"fib_rank_interior": ("interior", -1), "fib_rank_left": ("left", 
 
 
 def _expansion_sweep(which: str, n: int, force: bool) -> dict:
+    """Each element's enumerator at m = 1, 2, 3 against its class's realized
+    expansion: the class label is exactly what delta_expansion reads."""
     basis = "monomial" if which == "mon" else "fundamental"
-    for flavor, (signed, *_) in _FLAVORS.items():
-        for g in iterate_group("B" if signed else "S", n, force):
-            spread = delta_expansion(g, flavor, basis)
-            for m in (1, 2, 3):
-                got = truncate_realize(spread, m, force)
+    for flavor, (signed, *_, alphabet) in _FLAVORS.items():
+        elements = iterate_group("B" if signed else "S", n, force)
+        _, classes, first = groupalgebra._class_table(_ENUMERATOR_FAMILY[alphabet], n, force)
+        realized = [[truncate_realize(delta_expansion(elements[i], flavor, basis), m, force)
+                     for m in (1, 2, 3)] for i in first]
+        for g, c in zip(elements, classes):
+            for m, got in zip((1, 2, 3), realized[c]):
                 diff = _first_difference(got, truncated_enumerator(g, flavor, m, force))
                 if diff is not None:
                     exps, a, b = diff

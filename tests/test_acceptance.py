@@ -170,12 +170,6 @@ def test_product_identities_exhaustive(tid, n):
     assert out["ok"] and out["expected_ok"], out
 
 
-def test_product_identities_sampled_large():
-    # the sampled path at the largest exhaustive size
-    out = verify_identity(6, "ges", sample=2)
-    assert out["ok"], out
-
-
 # --- orthogonal idempotents ---------------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -98,13 +98,11 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("sample", ["0", "-3"])
-def test_verify_sample_below_one_exits_two(capsys, sample):
-    code, payload, err = run(
-        capsys, "verify", "--theorem", "phi_times_rho", "-n", "4", "--sample", sample
-    )
-    assert code == 2 and payload is None
-    assert "sample" in err
+def test_verify_has_no_sample_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "ges", "-n", "3", "--sample", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sample 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -233,13 +231,13 @@ def test_console_script_subprocess():
     assert json.loads(proc.stdout)["peak_interior"]["set"] == [3]
 
 
-def _fresh_process(*argv, env_extra=None):
+def _fresh_process(*argv, env_extra=None, stdout=subprocess.PIPE):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("PEAKLAB_MAX_N", None)
-    return subprocess.run([sys.executable, "-m", "peaklab.cli", *argv],
-                          capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-m", "peaklab.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=env)
 
 
 def test_module_subprocess_exit_codes():
@@ -252,6 +250,17 @@ def test_module_subprocess_exit_codes():
     proc = _fresh_process("verify", "--theorem", "ges", "-n", "7")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _fresh_process("stats", "[2,1,3]", stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 0  # the request's own code, not a crash
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 # --- one parser per process ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Design guards that keep the package to one home per decision."""
 
+import ast
 import json
 import os
 import subprocess
@@ -107,3 +108,14 @@ def test_section_43_identities_build_no_fraction(monkeypatch):
     made = 0
     UniPoly((1, 1))(2)
     assert made == 1  # the counter sees a Fraction when one is made
+
+
+def test_no_module_imports_random():
+    # every check is exhaustive: nothing in the package draws seeded samples
+    for path in sorted(Path(peaklab.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+        assert "random" not in imported, path.name

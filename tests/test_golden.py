@@ -42,8 +42,6 @@ BROAD = (
     ("closure", "--family", "peak_left_set", "-n", "4"),
 )
 
-# `qsym expand "[]" --flavor interior` is tested in test_qsym.py instead: the
-# commit this corpus was recorded at never returned from it.
 EDGES = (
     ("stats", "[]"),
     ("stats", "[1]"),
@@ -85,6 +83,7 @@ EDGES = (
     ("structure-constants", "--family", "descent_set", "-n", "7"),
     ("qsym", "expand", "[1]", "--flavor", "interior"),
     ("qsym", "expand", "[1]", "--flavor", "left"),
+    ("qsym", "expand", "[]", "--flavor", "interior"),
     ("qsym", "expand", "[]", "--flavor", "left"),
     ("qsym", "expand", "[]", "--flavor", "B", "--basis", "fundamental"),
     ("qsym", "expand", "[-1]", "--flavor", "B"),

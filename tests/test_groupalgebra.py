@@ -313,15 +313,22 @@ def test_registry_negatives_at_n3():
         verify_identity(3, "no_such_theorem")
 
 
-def test_registry_sampled_verification():
-    out = verify_identity(3, "ges", sample=4)
-    assert out["ok"] and out["expected_ok"]
+@pytest.mark.parametrize("tid, n, family", [("ges", 4, "phi"), ("chow", 3, "phi_B")])
+def test_product_check_evaluates_the_whole_grid(monkeypatch, tid, n, family):
+    seen = []
+    cleared = groupalgebra._cleared
 
+    def recording(polys, args):
+        seen.append(sorted(args))
+        return cleared(polys, args)
 
-@pytest.mark.parametrize("sample", [0, -3])
-def test_sample_below_one_is_rejected(sample):
-    with pytest.raises(ValueError, match="sample"):
-        verify_identity(4, "phi_times_rho", sample=sample)
+    monkeypatch.setattr(groupalgebra, "_cleared", recording)
+    assert verify_identity(n, tid)["ok"]
+    deg = max(p.degree for p in groupalgebra._class_polys(family, n, False))
+    assert deg == n
+    axis = list(range(1, deg + 2))
+    # x = 1..degx+1, y = 1..degy+1 and every product xy, once each
+    assert seen == [axis, axis, sorted({x * y for x in axis for y in axis})]
 
 
 def test_forced_call_does_not_lift_a_later_guard(monkeypatch):
@@ -357,18 +364,17 @@ def test_family_labels_returns_a_fresh_list():
     assert family_labels("peak_interior_num", 4) == [0, 1]
 
 
-def test_sampled_product_check_past_the_table_guard(monkeypatch):
+def test_product_check_past_the_table_guard(monkeypatch):
     monkeypatch.setitem(limits.VERIFY_MAX, "S", 3)
-    assert verify_identity(4, "ges", sample=2)["ok"]
-    out = verify_identity(4, "phi_times_rho", sample=3)
-    assert out["ok"] is False and out["expected_ok"] is False
-    assert out["counterexample"] is not None and out["node"] is not None
     with pytest.raises(ResourceLimitError, match="S-group table"):
         verify_identity(4, "ges")
-    # the sample lifts the table guard only: the iteration guard still holds
-    monkeypatch.setattr(perms, "SYMMETRIC_ITER_MAX", 3)
-    with pytest.raises(ResourceLimitError, match="symmetric group iteration"):
-        verify_identity(4, "ges", sample=2)
+    # force and PEAKLAB_MAX_N each lift the guard onto the same full grid
+    assert verify_identity(4, "ges", force=True)["ok"]
+    monkeypatch.setenv("PEAKLAB_MAX_N", "4")
+    assert verify_identity(4, "ges")["ok"]
+    out = verify_identity(4, "phi_times_rho")
+    assert out["ok"] is False and out["expected_ok"] is False
+    assert out["counterexample"] is not None and out["node"] is not None
 
 
 def test_invalid_max_n_is_an_error(monkeypatch):

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,3 +391,26 @@ def test_truncated_enumerator_builds_each_alphabet_once(monkeypatch):
                 truncated_enumerator(pi, flavor, m)
     names = ("enriched_alphabet", "left_enriched_alphabet", "b_enriched_alphabet")
     assert built == {(name, m): 1 for name in names for m in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("check", ["mon", "fun"])
+def test_expansion_sweep_realizes_once_per_class(monkeypatch, check):
+    realized, compared = Counter(), Counter()
+
+    def realize(expansion, m, force=False):
+        realized[m] += 1
+        return truncate_realize(expansion, m, force)
+
+    def enumerate_chain(pi, flavor, m, force=False):
+        compared[m] += 1
+        return truncated_enumerator(pi, flavor, m, force)
+
+    monkeypatch.setattr(qsym, "truncate_realize", realize)
+    monkeypatch.setattr(qsym, "truncated_enumerator", enumerate_chain)
+    assert verify_hook(check, 4)["ok"]
+    families = ("peak_interior_set", "peak_left_set", "B_peak_sign_set")
+    classes = sum(len(groupalgebra._class_table(f, 4, False)[0]) for f in families)
+    assert classes == 3 + 5 + 8
+    assert realized == {1: classes, 2: classes, 3: classes}
+    # every element is still compared with its own enumerator
+    assert compared == {m: 24 + 24 + 384 for m in (1, 2, 3)}
