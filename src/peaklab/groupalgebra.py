@@ -7,7 +7,10 @@ x and y whose degrees are bounded holds iff it holds at a grid of integer
 points exceeding those degrees.  Products over the group are organized
 through class pair tensors (how often a product of a sigma in class a and
 a tau in class b lands on each pi), so a whole grid costs little more than
-one convolution sweep.
+one convolution sweep.  When both families are unions of descent classes,
+that count depends only on Des(pi), since the descent-class sums span a
+subalgebra (Solomon 1976, for every finite Coxeter group); the tensor is
+then counted once per descent class, 2^(n-1) rows for S_n and 2^n for B_n.
 
 Each class family is partitioned once per n, in one class table (see
 _class_table) that labels, class sums, polynomials and tensors all read.
@@ -273,7 +276,10 @@ def _class_table(family: str, n: int, force: bool):
         labels = tuple(sorted(set(values)))
         index = {lab: i for i, lab in enumerate(labels)}
         classes = [index[v] for v in values]
-        return labels, classes, [classes.index(c) for c in range(len(labels))]
+        first: dict = {}
+        for i, c in enumerate(classes):
+            first.setdefault(c, i)
+        return labels, classes, [first[c] for c in range(len(labels))]
 
     return memo("class_tables", (family, n), build)
 
@@ -491,8 +497,11 @@ def structure_constants(n: int, family: str, force: bool = False) -> dict:
     (representative of class K) with sigma in class I and tau in class J.
 
     Well-definedness (the count not depending on the representative of K)
-    is exactly the claim that the class sums span an algebra; it is checked
-    element by element and any violation is reported, not assumed.
+    is exactly the claim that the class sums span an algebra; every
+    element's row is compared with its class representative's and any
+    violation is reported, not assumed.  Every family here is a union of
+    descent classes, so the rows are counted once per descent class
+    (Solomon 1976) and the comparison is between descent classes.
     """
     if family not in _CONSTANT_FAMILIES:
         raise ValueError(f"structure constants run on set-valued families, not {family!r}")
@@ -668,6 +677,30 @@ _PRODUCT_THEOREMS = {
     "phi_times_rho": [("phi", "rho", "rho")],
 }
 
+
+def _group_index(group: str, n: int):
+    """The family-independent index tables of (group, n), built once after
+    the caller's guard: the element -> index dict, the unsigned
+    permutations' indices in lexicographic order, each element's inverse's
+    index, one table per diagonal sign element eps (only the identity in
+    S_n) sending each element to element eps, and each element's
+    descent-class owner, the first element with the same descent set (the
+    Coxeter descent set for B_n, with 0 a descent iff pi(1) < 0)."""
+    def build():
+        elements = iterate_group(group, n, force=True)
+        index = {p: i for i, p in enumerate(elements)}
+        unsigned = [index[q] for q in permutations(range(1, n + 1))]
+        inverses = [index[inverse(p)] for p in elements]
+        diagonal = [p for p in elements if all(abs(v) == i for i, v in enumerate(p, 1))]
+        times = [[index[compose(p, eps)] for p in elements] for eps in diagonal]
+        descents = STATISTICS["descent_linear" if group == "S" else "B_descent"]
+        first: dict = {}
+        owners = [first.setdefault(descents(p), i) for i, p in enumerate(elements)]
+        return index, unsigned, inverses, times, owners
+
+    return memo("group_index", (group, n), build)
+
+
 def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     """For each pi: counts of factorizations sigma tau = pi bucketed by
     (class of sigma under class family famL, class of tau under famR), one
@@ -675,29 +708,33 @@ def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
     check the size guards first.
 
     Counted by index, with no product formed per pair.  Every sigma is
-    q eps, q unsigned and eps a diagonal sign element (only the identity in
-    S_n), and tau = sigma^-1 pi is the inverse of (pi^-1 q) eps.  The
-    products pi^-1 q, q in lexicographic order, are exactly
-    permutations(pi^-1); one index table per eps, built with compose, sends
-    each element to element eps."""
+    q eps, q unsigned and eps a diagonal sign element, and tau = sigma^-1 pi
+    is the inverse of (pi^-1 q) eps.  The products pi^-1 q, q in
+    lexicographic order, are exactly permutations(pi^-1).
+
+    When both families are unions of descent classes, a row depends only
+    on Des(pi): the descent-class sums span a subalgebra (Solomon 1976,
+    for every finite Coxeter group).  Then the row is counted once per
+    descent class, at its owner, and every other element of the class
+    holds the owner's row list itself."""
     elements = iterate_group(group, n, force=True)
-    index = {p: i for i, p in enumerate(elements)}
+    index, unsigned, inverses, times, owners = _group_index(group, n)
     labelsL, classesL, _ = _class_table(famL, n, True)
     labelsR, classesR, _ = _class_table(famR, n, True)
     kr = len(labelsR)
     width = len(labelsL) * kr
-    unsigned = [index[q] for q in permutations(range(1, n + 1))]
-    inverse_class = [classesR[index[inverse(p)]] for p in elements]
-    diagonal = [p for p in elements if all(abs(v) == i for i, v in enumerate(p, 1))]
     # per eps: kr * (class of q eps) for each unsigned q in order, and for
     # each element the class of the inverse of element eps
-    tables = []
-    for eps in diagonal:
-        times = [index[compose(p, eps)] for p in elements]
-        tables.append(([kr * classesL[times[i]] for i in unsigned],
-                       [inverse_class[j] for j in times]))
+    tables = [([kr * classesL[t[i]] for i in unsigned], [classesR[inverses[j]] for j in t])
+              for t in times]
+    if not all(classesL[i] == classesL[o] and classesR[i] == classesR[o]
+               for i, o in enumerate(owners)):
+        owners = range(len(elements))
     rows = []
-    for pi in elements:
+    for pi, owner in zip(elements, owners):
+        if owner < len(rows):  # an earlier element of pi's descent class
+            rows.append(rows[owner])
+            continue
         left = list(map(index.__getitem__, permutations(inverse(pi))))
         counts = Counter(chain.from_iterable(
             map(add, classL, map(classR.__getitem__, left)) for classL, classR in tables))

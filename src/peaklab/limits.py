@@ -7,12 +7,12 @@ Guards are soft: the PEAKLAB_MAX_N environment variable raises (or lowers)
 every cap at once, and most entry points take ``force=True`` to bypass the
 check entirely.
 
-Class-level data (group tuples, class partitions, class polynomials,
-factorization counts, per-class enumerators, realizations) is built once
-per process and kept in ``_CACHES``, one dict per cache name, filled only
-by ``memo``.  Each caller runs its size guard before its ``memo`` call, so
-a value that a forced call cached never lifts the guard for a later
-unforced one.
+Class-level data (group tuples and their index tables, class partitions,
+class polynomials, factorization counts, per-class enumerators,
+realizations) is built once per process and kept in ``_CACHES``, one dict
+per cache name, filled only by ``memo``.  Each caller runs its size guard
+before its ``memo`` call, so a value that a forced call cached never lifts
+the guard for a later unforced one.
 """
 
 from __future__ import annotations

@@ -523,7 +523,7 @@ def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
     check_limit("bipartite alphabet size", max(p, q), BIPARTITE_MAX_VARS, force)
     if min(p, q) < 1:
         raise ValueError("need at least one variable per side")
-    at = iterate_group(group, n, force).index(perm)
+    at = groupalgebra._group_index(group, n)[0][perm]
     for firstb, secondb, mode in _BIPARTITE[flavor]:
         alpha, sig, tau = _equation(firstb, secondb, mode, p, q, n, force)
         lhs = chain_weight_sum(alpha, perm, anchored=group == "B", mode="poly")

@@ -170,6 +170,17 @@ def test_product_identities_exhaustive(tid, n):
     assert out["ok"] and out["expected_ok"], out
 
 
+# past the table guard, where every family but the cyclic ones counts one
+# factorization row per descent class
+@pytest.mark.parametrize("tid,n", [(t, 7) for t in _S_PRODUCTS if t != "cyc"]
+                         + [("phi_times_rho", 7), ("right_peak_set_constants", 7),
+                            ("chow", 5), ("peakalg2", 5)])
+def test_checks_past_the_table_guard(tid, n):
+    out = verify_identity(n, tid, force=True)
+    assert out["ok"] is out["expected_ok"], out
+    assert (out["counterexample"] is None) is out["ok"], out
+
+
 # --- orthogonal idempotents ---------------------------------------------------------
 
 @lru_cache(maxsize=None)

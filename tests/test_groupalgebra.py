@@ -434,6 +434,24 @@ def test_factor_counts_match_brute_force_at_b4():
     assert got == _brute_counts("B", 4, "B_peak_sign_num", "B_cyclic_descent_num")
 
 
+@pytest.mark.parametrize("group,n,fam", [("S", 6, "descent_num"), ("B", 4, "B_peak_sign_set")])
+def test_shared_rows_match_brute_force(group, n, fam):
+    assert groupalgebra._factor_counts(group, n, fam, fam) == _brute_counts(group, n, fam, fam)
+
+
+@pytest.mark.parametrize("group,famL,famR", _tensor_pairs())
+def test_factor_counts_share_one_row_per_descent_class(group, famL, famR):
+    # rows are shared exactly when both families are unions of descent
+    # classes; only the cyclic families are not
+    n = 5 if group == "S" else 3
+    rows = groupalgebra._factor_counts(group, n, famL, famR)
+    if {famL, famR} & {"cyclic_descent_num", "B_cyclic_descent_num"}:
+        expected = len(perms.iterate_group(group, n))
+    else:
+        expected = 2 ** (n - 1) if group == "S" else 2 ** n
+    assert len({id(row) for row in rows}) == expected
+
+
 @pytest.mark.parametrize("group,n,fam", [("S", 5, "descent_num"), ("B", 4, "B_descent_num")])
 def test_factor_counts_compose_per_sign_not_per_pair(monkeypatch, group, n, fam):
     calls = 0
@@ -444,11 +462,17 @@ def test_factor_counts_compose_per_sign_not_per_pair(monkeypatch, group, n, fam)
         return perms.compose(a, b)
 
     monkeypatch.setattr(groupalgebra, "compose", counting)
+    monkeypatch.setitem(limits._CACHES, "group_index", {})
     groupalgebra._factor_counts(group, n, fam, fam)
     size = len(perms.iterate_group(group, n))
     # one product per (element, diagonal sign element), never one per pair;
     # this is within n * 2^n * |G|
     assert 0 < calls <= (2 ** n if group == "B" else 1) * size < size ** 2
+    # the index tables are built once per group and size, for every pair
+    before = calls
+    other = "peak_interior_num" if group == "S" else "B_cyclic_descent_num"
+    groupalgebra._factor_counts(group, n, other, fam)
+    assert calls == before
 
 
 # --- ga_multiply against the plain Fraction convolution ---------------------------
