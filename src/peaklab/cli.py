@@ -18,9 +18,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .exact import format_rational
 from .groupalgebra import (
     CLASS_FAMILIES,
     STRUCTURE_FAMILIES,
@@ -61,19 +59,6 @@ def _parse_perm(text: str) -> list[int]:
     ):
         raise ValueError("permutation must be a list of integers")
     return vals
-
-
-def _plain(obj):
-    """Recursively rewrite library values as JSON-encodable ones."""
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "to_json"):
-        return _plain(obj.to_json())
-    return obj
 
 
 def _cmd_stats(args) -> tuple[int, dict]:
@@ -135,7 +120,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
             continue
         if not res["ok"]:
             failed += 1
-        results.append(_plain(res))
+        results.append(res)
     return (1 if failed else max(refusals, default=0)), {
         "n": args.n,
         "checked": len(ids),
@@ -144,27 +129,20 @@ def _cmd_verify(args) -> tuple[int, dict]:
     }
 
 
-def _label_json(family: str, label):
-    if family == "B_peak_sign_set":
-        sign, peaks = label
-        return {"sign": sign, "peaks": list(peaks)}
-    if isinstance(label, tuple):
-        return list(label)
-    return label
+def _sign_peaks(label) -> dict:
+    sign, peaks = label
+    return {"sign": sign, "peaks": peaks}
 
 
 def _cmd_structure_constants(args) -> tuple[int, dict]:
     data = structure_constants(args.n, args.family, force=args.force)
-    data["labels"] = [_label_json(args.family, lab) for lab in data["labels"]]
-    data["representatives"] = [list(p) for p in data["representatives"]]
-    if data["violation"] is not None:
+    # json writes tuples as arrays; only a (sign, peaks) label reads as an object
+    if args.family == "B_peak_sign_set":
+        data["labels"] = [_sign_peaks(lab) for lab in data["labels"]]
         v = data["violation"]
-        data["violation"] = {
-            "pair": [_label_json(args.family, lab) for lab in v["pair"]],
-            "class": _label_json(args.family, v["class"]),
-            "elements": [list(p) for p in v["elements"]],
-            "counts": v["counts"],
-        }
+        if v is not None:
+            v["pair"] = [_sign_peaks(lab) for lab in v["pair"]]
+            v["class"] = _sign_peaks(v["class"])
     return 0, data
 
 

@@ -23,10 +23,10 @@ Fraction(6, 1)
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
 
 
 def as_fraction(value) -> Fraction:
@@ -305,10 +305,6 @@ class RationalGF:
     __hash__ = None  # normal form is not unique up to common factors
 
     def __init__(self, num: UniPoly, den: UniPoly = UniPoly((1,))):
-        if not isinstance(num, UniPoly):
-            num = UniPoly((num,)) if isinstance(num, (int, Fraction)) else UniPoly(num)
-        if not isinstance(den, UniPoly):
-            den = UniPoly((den,)) if isinstance(den, (int, Fraction)) else UniPoly(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not den.coeffs[0]:
@@ -333,48 +329,20 @@ class RationalGF:
     def constant(cls, c) -> "RationalGF":
         return cls(UniPoly((c,)))
 
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalGF.constant(other)
         if not isinstance(other, RationalGF):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
     def __add__(self, other) -> "RationalGF":
-        if isinstance(other, (int, Fraction)):
-            other = RationalGF.constant(other)
         if not isinstance(other, RationalGF):
             return NotImplemented
         return RationalGF(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalGF":
-        return RationalGF(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalGF":
-        if isinstance(other, (int, Fraction)):
-            other = RationalGF.constant(other)
-        return self + (-other)
-
     def __mul__(self, other) -> "RationalGF":
-        if isinstance(other, (int, Fraction)):
-            return RationalGF(self.num * other, self.den)
-        if isinstance(other, UniPoly):
-            other = RationalGF(other)
         if not isinstance(other, RationalGF):
             return NotImplemented
         return RationalGF(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "RationalGF":
-        if k < 0:
-            raise ValueError("negative power of a generating function")
-        return RationalGF(self.num**k, self.den**k)
 
     def coeffs(self, count: int) -> list[Fraction]:
         """First `count` power-series coefficients, by the linear recurrence

@@ -511,7 +511,7 @@ def structure_constants(n: int, family: str, force: bool = False) -> dict:
     check_limit(f"{group}-group table", n, VERIFY_MAX[group], force)
     elements = iterate_group(group, n, force)
     labels, classes, first = _class_table(family, n, force)
-    rows = _factor_counts(group, n, family, family)
+    rows = _pair_rows(group, n, family, family)
     k = len(labels)
     reps = [elements[i] for i in first]
     tensor = [[[rows[i][a * k + b] for i in first] for b in range(k)] for a in range(k)]
@@ -746,8 +746,10 @@ def _factor_counts(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
 
 
 def _pair_rows(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
-    """_factor_counts over two class families, cached for the product-grid
-    checks and qsym's bipartite checks."""
+    """_factor_counts over two class families, cached: the one entry point
+    to the factorization tensor for structure_constants, the product-grid
+    checks and qsym's bipartite checks.  Where _factor_counts shares rows
+    per descent class, a cached tensor holds one row list per class."""
     return memo("pair_rows", (group, n, famL, famR), lambda: _factor_counts(group, n, famL, famR))
 
 

@@ -15,8 +15,8 @@ iterate S_n or B_n only through iterate_group.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .limits import check_limit, memo, HYPEROCT_ITER_MAX, SYMMETRIC_ITER_MAX
 
@@ -111,8 +111,8 @@ def _peak_masks(p: Perm) -> tuple[int, int]:
 
     Bit i of rises:  p(i-1) < p(i), for i in 1..n+1, reading p(0)=p(n+1)=0.
     Bit i of falls:  p(i) > p(i+1), same convention.  A peak at i is a rise
-    into i and a fall out of it; the four flavors differ only in which
-    boundary index is allowed.
+    into i and a fall out of it; the interior, right and exterior flavors
+    differ only in which boundary index is allowed.
     """
     n = len(p)
     ext = (0,) + p + (0,)
@@ -140,9 +140,14 @@ def peak_mask(p: Perm) -> int:
 
 
 def left_peak_mask(p: Perm) -> int:
-    """Position 1 may be a peak (the left sentinel is 0), n may not."""
-    rises, falls = _peak_masks(p)
-    return rises & falls & _range_mask(1, len(p) - 1)
+    """Peaks in 1..n-1 with a zero sentinel on the left; this is also the
+    type-B peak set, where 1 is a peak only when 0 < p(1) > p(2)."""
+    ext = (0,) + p
+    m = 0
+    for i in range(1, len(p)):
+        if ext[i - 1] < ext[i] > ext[i + 1]:
+            m |= 1 << i
+    return m
 
 
 def right_peak_mask(p: Perm) -> int:
@@ -157,15 +162,14 @@ def exterior_peak_mask(p: Perm) -> int:
     return rises & falls & _range_mask(1, len(p))
 
 
+def sign_mask(p: Perm) -> int:
+    """{0} when the first value is negative, else empty."""
+    return 1 if (p and p[0] < 0) else 0
+
+
 def b_descent_mask(p: Perm) -> int:
-    """Signed descents in 0..n-1; 0 is a descent exactly when p(1) < 0."""
-    m = 0
-    if p and p[0] < 0:
-        m |= 1
-    for i in range(1, len(p)):
-        if p[i - 1] > p[i]:
-            m |= 1 << i
-    return m
+    """The Coxeter descent set in 0..n-1: 0 is a descent iff p(1) < 0."""
+    return descent_mask(p) | sign_mask(p)
 
 
 def b_cyclic_descent_mask(p: Perm) -> int:
@@ -174,26 +178,6 @@ def b_cyclic_descent_mask(p: Perm) -> int:
     if n and p[-1] > 0:
         m |= 1 << n
     return m
-
-
-def b_peak_mask(p: Perm) -> int:
-    """Signed peaks in 1..n-1, with a zero sentinel on the left only.
-
-    Position 1 is a peak when 0 < p(1) > p(2), so a negative first value
-    never gives a peak at 1.
-    """
-    n = len(p)
-    ext = (0,) + p
-    m = 0
-    for i in range(1, n):
-        if ext[i - 1] < ext[i] > ext[i + 1]:
-            m |= 1 << i
-    return m
-
-
-def sign_mask(p: Perm) -> int:
-    """{0} when the first value is negative, else empty."""
-    return 1 if (p and p[0] < 0) else 0
 
 
 def positions(mask: int) -> tuple[int, ...]:
@@ -214,7 +198,7 @@ STATISTICS = {
     "peak_exterior": exterior_peak_mask,
     "B_descent": b_descent_mask,
     "B_cyclic_descent": b_cyclic_descent_mask,
-    "B_peak": b_peak_mask,
+    "B_peak": left_peak_mask,
     "B_sign": sign_mask,
 }
 

@@ -9,7 +9,8 @@ admissible when, for every strict relation i <_P j,
                         epsilon == -  if i > j as integers.
 
 With an all-plus alphabet this is the classical weak/strict rule, so one
-comparator drives both the ordinary and the enriched counts.  The unsigned
+comparator drives both the ordinary and the enriched counts.  A
+sign-symmetric alphabet is one flag, Alphabet.signed.  The unsigned
 poset on 1..n and the sign-symmetric one on -n..n share one order type
 (_Order), and the unsigned case is the one with no sign symmetry: one
 backtracking enumerator (_assignments) serves both, with f(-i) and f(0)
@@ -21,7 +22,7 @@ are the oracle that every closed formula in the package is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .exact import MultiPoly
 from .limits import IMAGE_SET_MAX_K, LINEXT_MAX, POSET_ORACLE_MAX_N, check_limit, memo
@@ -34,10 +35,13 @@ class Alphabet:
 
     slots are implicit: element i is the i-th smallest.  eps[i] is its sign
     flag, exps[i] the exponent vector it contributes in monomial mode (over
-    `arity` variables), labels[i] a display string.  neg maps an element to
-    its negation and zero names the self-negative anchor; both are None for
-    alphabets with no sign symmetry.  mags[i] is the magnitude used for
-    support bookkeeping, None for product alphabets.
+    `arity` variables), labels[i] a display string.  mags[i] is the
+    magnitude used for support bookkeeping, None for product alphabets.
+
+    signed marks a sign-symmetric alphabet.  The only order-reversing
+    involution of a chain is full reversal, so neg (each element's
+    negation) and zero (the self-negative middle) derive from the size;
+    both are None when signed is False.
     """
 
     name: str
@@ -46,25 +50,25 @@ class Alphabet:
     exps: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     mags: tuple[int, ...] | None = None
-    neg: tuple[int, ...] | None = None
-    zero: int | None = None
+    signed: bool = False
 
     def __post_init__(self):
         if len(self.exps) != len(self.eps) or len(self.labels) != len(self.eps):
             raise ValueError("slot arrays disagree in length")
-        if self.neg is not None:
-            # the only order-reversing involution of a chain is full reversal
-            m = len(self.eps)
-            if list(self.neg) != [m - 1 - i for i in range(m)]:
-                raise ValueError("negation must reverse the alphabet order")
-            if any(self.eps[m - 1 - i] != self.eps[i] for i in range(m)):
-                raise ValueError("negation must preserve sign flags")
-            if self.zero is None or 2 * self.zero != m - 1:
-                raise ValueError("sign-symmetric alphabet needs a central zero element")
+        if self.signed and (self.size % 2 == 0 or self.eps != self.eps[::-1]):
+            raise ValueError("a sign-symmetric alphabet needs a central zero and mirrored flags")
 
     @property
     def size(self) -> int:
         return len(self.eps)
+
+    @property
+    def neg(self) -> tuple[int, ...] | None:
+        return tuple(range(self.size - 1, -1, -1)) if self.signed else None
+
+    @property
+    def zero(self) -> int | None:
+        return self.size // 2 if self.signed else None
 
     def le(self, a: int, b: int, need: int) -> bool:
         """a before b, with ties broken by the sign flag `need`."""
@@ -90,7 +94,7 @@ def ordinary_alphabet(k: int) -> Alphabet:
 
 
 def ordinary_b_alphabet(k: int) -> Alphabet:
-    """The chain -k < ... < 0 < ... < k, all flags +, with negation."""
+    """The chain -k < ... < 0 < ... < k, all flags +, sign-symmetric."""
     vals = list(range(-k, k + 1))
     return Alphabet(
         name=f"ordinaryB[{k}]",
@@ -99,8 +103,7 @@ def ordinary_b_alphabet(k: int) -> Alphabet:
         exps=tuple(_unit(k + 1, abs(v)) for v in vals),
         labels=tuple(str(v) for v in vals),
         mags=tuple(abs(v) for v in vals),
-        neg=tuple(2 * k - i for i in range(2 * k + 1)),
-        zero=k,
+        signed=True,
     )
 
 
@@ -180,17 +183,6 @@ def b_enriched_alphabet(k: int) -> Alphabet:
             exps.append(_unit(k + 1, abs(m)))
             labels.append(f"{m}'" if e < 0 else str(m))
             mags.append(abs(m))
-    size = 4 * k + 1
-    idx = {(labels[i]): i for i in range(size)}
-    neg = []
-    for i in range(size):
-        lab = labels[i]
-        if lab == "0":
-            neg.append(i)
-        elif lab.endswith("'"):
-            neg.append(idx[f"{-int(lab[:-1])}'"])
-        else:
-            neg.append(idx[str(-int(lab))])
     return Alphabet(
         name=f"B_enriched[{k}]",
         eps=tuple(eps),
@@ -198,8 +190,7 @@ def b_enriched_alphabet(k: int) -> Alphabet:
         exps=tuple(exps),
         labels=tuple(labels),
         mags=tuple(mags),
-        neg=tuple(neg),
-        zero=2 * k,
+        signed=True,
     )
 
 
@@ -212,8 +203,6 @@ IMAGE_SET_KINDS = {
     "exterior_enriched": exterior_enriched_alphabet,
     "B_enriched": b_enriched_alphabet,
 }
-
-_SIGNED_KINDS = {"ordinaryB", "B_enriched"}
 
 
 def shared_alphabet(builder, k: int) -> Alphabet:
@@ -235,10 +224,6 @@ class ImageSetSpec:
         if self.k < 0:
             raise ValueError("k must be nonnegative")
 
-    @property
-    def signed(self) -> bool:
-        return self.kind in _SIGNED_KINDS
-
     def alphabet(self) -> Alphabet:
         return IMAGE_SET_KINDS[self.kind](self.k)
 
@@ -249,8 +234,9 @@ def product_alphabet(first: Alphabet, second: Alphabet, mode: str) -> Alphabet:
     up-down: pairs sorted by the first coordinate, the second rising when
     the first coordinate's flag is + and falling when it is -; the pair's
     flag is the product of the two.  lex: second coordinate always rising,
-    pair flag taken from the second coordinate.  Negation (when both
-    factors have one) acts coordinatewise.
+    pair flag taken from the second coordinate.  The product of two
+    sign-symmetric alphabets is sign-symmetric: negating both coordinates
+    reverses the pair order in either mode.
     """
     if mode not in ("updown", "lex"):
         raise ValueError(f"unknown product mode {mode!r}")
@@ -269,19 +255,13 @@ def product_alphabet(first: Alphabet, second: Alphabet, mode: str) -> Alphabet:
             eps.append(second.eps[b])
         exps.append(first.exps[a] + second.exps[b])
         labels.append(f"({first.labels[a]},{second.labels[b]})")
-    neg = zero = None
-    if first.neg is not None and second.neg is not None:
-        index = {p: i for i, p in enumerate(pairs)}
-        neg = tuple(index[(first.neg[a], second.neg[b])] for a, b in pairs)
-        zero = index[(first.zero, second.zero)]
     return Alphabet(
         name=f"{first.name}x{second.name}:{mode}",
         eps=tuple(eps),
         arity=arity,
         exps=tuple(exps),
         labels=tuple(labels),
-        neg=neg,
-        zero=zero,
+        signed=first.signed and second.signed,
     )
 
 
@@ -310,7 +290,7 @@ def chain_weight_sum(
     """
     if mode not in ("count", "poly"):
         raise ValueError(f"unknown mode {mode!r}")
-    if anchored and alphabet.zero is None:
+    if anchored and not alphabet.signed:
         raise ValueError("anchored chain needs a zero element")
     poly = mode == "poly"
     if not anchored and not labels:
@@ -621,9 +601,9 @@ def count_partitions(P, spec: ImageSetSpec, force: bool = False) -> int:
     check_limit("partition oracle size", P.n, POSET_ORACLE_MAX_N, force)
     check_limit("partition oracle alphabet", spec.k, IMAGE_SET_MAX_K, force)
     signed = isinstance(P, BPoset)
-    if signed != spec.signed:
-        raise ValueError(f"{spec.kind} does not apply to {type(P).__name__}")
     alphabet = spec.alphabet()
+    if signed != alphabet.signed:
+        raise ValueError(f"{spec.kind} does not apply to {type(P).__name__}")
     seq = P.chain_sequence()
     if seq is not None:
         return chain_weight_sum(alphabet, seq, anchored=signed, mode="count")
@@ -675,7 +655,7 @@ def partition_monomials(P, spec_or_alphabet, force: bool = False) -> MultiPoly:
         alphabet = spec_or_alphabet
     check_limit("partition oracle size", P.n, POSET_ORACLE_MAX_N, force)
     signed = isinstance(P, BPoset)
-    if signed and alphabet.neg is None:
+    if signed and not alphabet.signed:
         raise ValueError("signed poset needs a sign-symmetric alphabet")
     seq = P.chain_sequence()
     if seq is not None:

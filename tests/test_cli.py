@@ -76,6 +76,15 @@ def test_verify_negative_exits_one(capsys):
     assert res["counterexample"] is not None
 
 
+def test_verify_counterexample_prints_as_an_array(monkeypatch, capsys):
+    from peaklab import qsym
+
+    monkeypatch.setattr(qsym, "fibonacci", lambda k: 0)
+    code, payload, _ = run(capsys, "verify", "--theorem", "fib_rank_interior", "-n", "4")
+    assert code == 1
+    assert payload["results"][0]["counterexample"] == ["interior", "3", "fibonacci 0"]
+
+
 def test_verify_all(capsys):
     code, payload, _ = run(capsys, "verify", "--all", "-n", "2")
     assert code == 0

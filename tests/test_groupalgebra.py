@@ -669,3 +669,20 @@ def test_default_closure_cap_enumerates_no_group(monkeypatch):
     one = GAElem.basis("S", identity_perm(8))
     assert multiplicative_closure([one]) == [one]
     assert ("S", 8) not in limits._CACHES.get("groups", {})
+
+
+def test_reciprocity_sweep_reports_first_failing_representative(monkeypatch):
+    # only class representatives are checked: (1,2,3) and (1,3,2) for the
+    # interior peak classes of S_3, so (1,3,2) is the first failure and
+    # (3,2,1) is never reached
+    assert sorted(groupalgebra._class_table("peak_interior_set", 3, False)[2]) == [0, 1]
+    checked = []
+
+    def check(pi, kind):
+        checked.append(pi)
+        return pi == (1, 2, 3)
+
+    monkeypatch.setattr(groupalgebra, "reciprocity_check", check)
+    out = verify_identity(3, "recip_interior")
+    assert (out["ok"], out["counterexample"]) == (False, ([1, 3, 2], "reciprocity", "failed"))
+    assert checked == [(1, 2, 3), (1, 3, 2)]

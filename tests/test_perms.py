@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peaklab.perms import (
+    STATISTICS,
     b_cyclic_descent_mask,
     b_descent_mask,
-    b_peak_mask,
     compose,
     cyclic_descent_mask,
     descent_mask,
@@ -22,6 +22,7 @@ from peaklab.perms import (
     omega,
     peak_mask,
     peak_stat,
+    positions,
     right_peak_mask,
     sign_mask,
     signed_stat,
@@ -153,7 +154,7 @@ def test_signed_mask_ranges(p):
     n = len(p)
     bdes = b_descent_mask(p)
     bcdes = b_cyclic_descent_mask(p)
-    bpe = b_peak_mask(p)
+    bpe = STATISTICS["B_peak"](p)
     assert bdes >> n == 0
     assert bool(bdes & 1) == (p[0] < 0)
     assert bcdes & ~(bdes | 1 << n) == 0
@@ -164,11 +165,24 @@ def test_signed_mask_ranges(p):
     assert sign_mask(p) == (1 if p[0] < 0 else 0)
 
 
+def test_signed_masks_match_their_definitions():
+    # brute force on B_0..B_5, reading pi(0) = 0: a signed peak is
+    # pi(i-1) < pi(i) > pi(i+1) at 1 <= i <= n-1, a B-descent pi(i) > pi(i+1)
+    # at 0 <= i <= n-1
+    for n in range(6):
+        for p in hyperoctahedral_group(n):
+            w = (0,) + p
+            peaks = {i for i in range(1, n) if w[i - 1] < w[i] > w[i + 1]}
+            descents = {i for i in range(n) if w[i] > w[i + 1]}
+            assert set(positions(STATISTICS["B_peak"](p))) == peaks, p
+            assert set(positions(STATISTICS["B_descent"](p))) == descents, p
+
+
 def test_peak_count_bound():
     # at most floor(n/2) signed peaks, and the bound is attained
     for p in hyperoctahedral_group(3):
-        assert b_peak_mask(p).bit_count() <= 1
-    assert any(b_peak_mask(p).bit_count() == 1 for p in hyperoctahedral_group(3))
+        assert STATISTICS["B_peak"](p).bit_count() <= 1
+    assert any(STATISTICS["B_peak"](p).bit_count() == 1 for p in hyperoctahedral_group(3))
 
 
 def test_stat_result_json():

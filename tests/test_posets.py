@@ -76,11 +76,45 @@ def test_b_enriched_alphabet_symmetry():
     assert all((a.eps[i] < 0) == a.labels[i].endswith("'") for i in range(a.size) if a.labels[i] != "0")
 
 
+def _negate(label: str) -> str:
+    """-m for m, (-m)' for m', 0 for 0, read off the label alone."""
+    if label == "0":
+        return label
+    if label.endswith("'"):
+        return f"{-int(label[:-1])}'"
+    return str(-int(label))
+
+
+@pytest.mark.parametrize("builder", [ordinary_b_alphabet, b_enriched_alphabet])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_signed_alphabet_negates_by_reversal(builder, k):
+    a = builder(k)
+    assert a.signed and a.labels[a.zero] == "0"
+    for i in range(a.size):
+        assert a.labels[a.size - 1 - i] == _negate(a.labels[i])
+        assert a.labels[a.neg[i]] == _negate(a.labels[i])
+        assert a.eps[a.neg[i]] == a.eps[i]
+
+
+@pytest.mark.parametrize("mode", ["updown", "lex"])
+def test_signed_product_alphabet_negates_by_reversal(mode):
+    # negating both coordinates of a pair gives the pair in the mirrored slot
+    for first, second in itertools.product([ordinary_b_alphabet, b_enriched_alphabet], repeat=2):
+        for k, j in itertools.product(range(4), repeat=2):
+            p = product_alphabet(first(k), second(j), mode)
+            assert p.signed and p.labels[p.zero] == "(0,0)"
+            for i in range(p.size):
+                a, b = p.labels[i][1:-1].split(",")
+                assert p.labels[p.size - 1 - i] == f"({_negate(a)},{_negate(b)})"
+                assert p.eps[p.size - 1 - i] == p.eps[i]
+    assert not product_alphabet(ordinary_b_alphabet(1), enriched_alphabet(1), mode).signed
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
-        Alphabet("bad", (1, 1), 1, ((0,), (0,)), ("a", "b"), neg=(0, 1), zero=None)
+        Alphabet("bad", (1, 1), 1, ((0,), (0,)), ("a", "b"), signed=True)
     with pytest.raises(ValueError):
-        Alphabet("bad", (1, -1), 1, ((0,), (0,)), ("a", "b"), neg=(1, 0), zero=None)
+        Alphabet("bad", (1, 1, -1), 1, ((0,),) * 3, ("a", "b", "c"), signed=True)
     with pytest.raises(ValueError):
         Alphabet("bad", (1,), 1, ((0,), (0,)), ("a",))
     with pytest.raises(ValueError):
@@ -397,7 +431,7 @@ _SIGNED = _random_non_chains(BPoset, 2, lambda n: range(-n, n + 1), 12, 8)
 def test_generic_enumerator_matches_brute_force(kind, k):
     spec = ImageSetSpec(kind, k)
     alphabet = spec.alphabet()
-    for p in _SIGNED if spec.signed else _UNSIGNED:
+    for p in _SIGNED if alphabet.signed else _UNSIGNED:
         maps = _brute_maps(p, alphabet)
         assert count_partitions(p, spec) == len(maps), p
         want = MultiPoly.zero(alphabet.arity)

@@ -31,7 +31,7 @@ from peaklab import (
 )
 from peaklab.exact import MultiPoly
 from peaklab.perms import (
-    b_peak_mask,
+    STATISTICS,
     compose,
     hyperoctahedral_group,
     inverse,
@@ -173,7 +173,7 @@ def test_expansion_depends_only_on_class():
 
     signed_classes: dict = {}
     for pi in hyperoctahedral_group(3):
-        key = (sign_mask(pi), b_peak_mask(pi))
+        key = (sign_mask(pi), STATISTICS["B_peak"](pi))
         signed_classes.setdefault(key, []).append(delta_expansion(pi, "B", "fundamental"))
     for spreads in signed_classes.values():
         assert all(s == spreads[0] for s in spreads)
@@ -414,3 +414,60 @@ def test_expansion_sweep_realizes_once_per_class(monkeypatch, check):
     assert realized == {1: classes, 2: classes, 3: classes}
     # every element is still compared with its own enumerator
     assert compared == {m: 24 + 24 + 384 for m in (1, 2, 3)}
+
+
+# --- failure paths of the registry sweeps -------------------------------------------
+#
+# Each test breaks one input of a sweep and pins the counterexample it reports:
+# the first failing element in group order, with the exact values compared.
+
+
+@pytest.mark.parametrize("check,basis", [("mon", "monomial"), ("fun", "fundamental")])
+def test_expansion_sweep_reports_first_failing_element(monkeypatch, check, basis):
+    # (2,1,3) and (3,1,2) of S_3 gain 7 z_0^3, a monomial no enriched chain
+    # reaches: the letters of enriched_alphabet(m) sit in slots 1..m
+    broken = {(2, 1, 3), (3, 1, 2)}
+
+    def enumerate_chain(pi, flavor, m, force=False):
+        got = truncated_enumerator(pi, flavor, m, force)
+        if flavor == "interior" and tuple(pi) in broken:
+            got = got + MultiPoly.monomial(m + 1, (3,) + (0,) * m, 7)
+        return got
+
+    monkeypatch.setattr(qsym, "truncated_enumerator", enumerate_chain)
+    assert verify_hook(check, 3) == {
+        "ok": False,
+        "counterexample": ([2, 1, 3], f"interior {basis} realization, m=1, monomial (3, 0): 0", "7"),
+    }
+
+
+def test_bipartite_sweep_reports_first_failing_element(monkeypatch):
+    # zero the factorization rows of (2,3,1) and (3,2,1): the right-hand side
+    # vanishes there, so the residue is the product enumerator's least monomial
+    real = groupalgebra._pair_rows
+
+    def rows(*key):
+        out = list(real(*key))
+        for i in (3, 5):
+            out[i] = [0] * len(out[i])
+        return out
+
+    monkeypatch.setattr(groupalgebra, "_pair_rows", rows)
+    lhs = chain_weight_sum(product_alphabet(ordinary_alphabet(2), ordinary_alphabet(2), "lex"),
+                           (2, 3, 1), mode="poly")
+    assert min(lhs.terms) == (0, 0, 3, 0, 2, 1) and lhs.terms[(0, 0, 3, 0, 2, 1)] == 1
+    assert verify_hook("gf_ges", 3) == {
+        "ok": False,
+        "counterexample": ([2, 3, 1], "product enumerator, monomial (0, 0, 3, 0, 2, 1): 1",
+                           "factorization sum: 0"),
+    }
+
+
+def test_fibonacci_rank_mismatch_is_reported(monkeypatch):
+    monkeypatch.setattr(qsym, "fibonacci", lambda k: fibonacci(k) + 1)
+    for check, family, rank in (("fib_rank_interior", "interior", 3),
+                                ("fib_rank_left", "left", 5), ("fib_rank_B", "B", 8)):
+        assert verify_hook(check, 4) == {
+            "ok": False,
+            "counterexample": (family, str(rank), f"fibonacci {rank + 1}"),
+        }
