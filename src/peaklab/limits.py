@@ -32,7 +32,7 @@ VERIFY_MAX = {"S": 6, "B": 4}
 POSET_ORACLE_MAX_N = 6
 IMAGE_SET_MAX_K = 5
 LINEXT_MAX = {"A": 8, "B": 5}
-BIPARTITE_MAX_N = 4
+BIPARTITE_MAX_N = 5
 BIPARTITE_MAX_VARS = 3
 PEAK_RANK_MAX_N = 7
 

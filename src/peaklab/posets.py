@@ -17,6 +17,13 @@ backtracking enumerator (_assignments) serves both, with f(-i) and f(0)
 implied for a signed poset.  Chains get a linear-time scan with prefix
 sums instead.  These enumerators are deliberately naive in structure: they
 are the oracle that every closed formula in the package is tested against.
+
+A chain's enumerator is a function of its up/down word (chain_word): the
+admissibility rule compares two labels only to pick the sign flag a tie
+needs.  For a permutation chain the word is its descent set, and for an
+anchored signed chain it is the Coxeter descent set of type B, with
+position 0 a descent iff pi(1) < 0.  So a sweep over a group scans each
+word once, at the first element that has it.
 """
 
 from __future__ import annotations
@@ -268,6 +275,16 @@ def product_alphabet(first: Alphabet, second: Alphabet, mode: str) -> Alphabet:
 # --- chains ------------------------------------------------------------------
 
 
+def chain_word(labels: Sequence[int], anchored: bool = False) -> tuple[int, ...]:
+    """The up/down word of the chain labels[0] <_P labels[1] <_P ...: one
+    letter per step, 1 where the labels rise and -1 where they fall.  An
+    anchored chain steps up from the virtual label 0 first.  For a
+    permutation the -1 letters mark Des(pi); anchored, they mark its type-B
+    descent set, whose position 0 is a descent iff pi(1) < 0."""
+    seq = (0, *labels) if anchored else tuple(labels)
+    return tuple(1 if a < b else -1 for a, b in zip(seq, seq[1:]))
+
+
 def chain_weight_sum(
     alphabet: Alphabet,
     labels: Sequence[int],
@@ -278,7 +295,9 @@ def chain_weight_sum(
 
     anchored pins a virtual bottom element labeled 0 to the alphabet's zero;
     this is how sign-symmetric chains reduce to their positive half.  mode
-    'count' returns an integer, 'poly' the sum of exponent monomials.
+    'count' returns an integer, 'poly' the sum of exponent monomials.  The
+    labels are read only through chain_word, so two chains of one length
+    with one word have one enumerator.
 
     The scan keeps, per letter, the weight of the maps whose last element
     sits on that letter; the next element sits strictly higher, or on the
@@ -296,10 +315,7 @@ def chain_weight_sum(
     if not anchored and not labels:
         return MultiPoly.constant(alphabet.arity, 1) if poly else 1
     size, eps = alphabet.size, alphabet.eps
-    if anchored:
-        prev, todo = 0, list(labels)
-    else:
-        prev, todo = labels[0], list(labels[1:])
+    word = chain_word(labels, anchored)
 
     if not poly:
         if anchored:
@@ -307,15 +323,13 @@ def chain_weight_sum(
             state[alphabet.zero] = 1
         else:
             state = [1] * size
-        for lab in todo:
-            need = 1 if prev < lab else -1
+        for need in word:
             run = 0
             new = []
             for j in range(size):
                 new.append(run + state[j] if eps[j] == need else run)
                 run += state[j]
             state = new
-            prev = lab
         return sum(state)
 
     base = len(labels) * max((max(e) for e in alphabet.exps), default=0) + 1
@@ -326,8 +340,7 @@ def chain_weight_sum(
         state[alphabet.zero] = {0: 1}
     else:
         state = [{w: 1} for w in shifts]
-    for lab in todo:
-        need = 1 if prev < lab else -1
+    for need in word:
         run: dict[int, int] = {}
         new = []
         for j in range(size):
@@ -341,13 +354,13 @@ def chain_weight_sum(
             if eps[j] == need:
                 new.append({k + w: c for k, c in run.items()})
         state = new
-        prev = lab
     total: dict[int, int] = {}
     for here in state:
         for k, c in here.items():
             total[k] = total.get(k, 0) + c
-    return MultiPoly(alphabet.arity,
-                     {tuple(k // p % base for p in places): c for k, c in total.items()})
+    # positive int counts under distinct full-length keys: already normal
+    return MultiPoly._trusted(alphabet.arity,
+                              {tuple(k // p % base for p in places): c for k, c in total.items()})
 
 
 # --- posets ------------------------------------------------------------------

@@ -20,6 +20,13 @@ class-sum products: comultiplication and multiplication share one tensor,
 and coalgebra_constants exposes that duality directly.  The per-class
 enumerators form one factor table per alphabet, shared by every equation
 that uses that alphabet.
+
+A chain's enumerator is a function of its up/down word (posets.chain_word),
+which is the descent set of a permutation and the type-B descent set of a
+signed one.  So the factor tables and the registry sweeps scan each word
+once, at the first element in group order that has it, and the sweeps
+build each right-hand side once per shared factorization row.  Every
+element is still checked, against its own class or its own row.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .perms import STATISTICS, iterate_group, positions, validate_perm
 from .posets import (
     b_enriched_alphabet,
     chain_weight_sum,
+    chain_word,
     enriched_alphabet,
     left_enriched_alphabet,
     ordinary_alphabet,
@@ -465,9 +473,9 @@ _BIPARTITE = {
 def _factor_table(builder, k: int, n: int, force: bool) -> list[MultiPoly]:
     """One single-alphabet enumerator over builder(k) per class of the
     builder's family, in label order; cached per (alphabet, k, n), so the
-    equations that share an alphabet share its table.  Every element's
-    enumerator is computed, and one that differs from its class
-    representative's raises AssertionError."""
+    equations that share an alphabet share its table.  The chain is scanned
+    once per word; every element's word enumerator is checked against its
+    class representative's, and a difference raises AssertionError."""
     family = _ENUMERATOR_FAMILY[builder]
     group = groupalgebra.CLASS_FAMILIES[family][0]
     labels, classes, first = groupalgebra._class_table(family, n, force)
@@ -475,7 +483,13 @@ def _factor_table(builder, k: int, n: int, force: bool) -> list[MultiPoly]:
 
     def build() -> list[MultiPoly]:
         alpha = shared_alphabet(builder, k)
-        polys = [chain_weight_sum(alpha, g, anchored=group == "B", mode="poly") for g in elements]
+        by_word: dict = {}
+        polys = []
+        for g in elements:
+            word = chain_word(g, group == "B")
+            if word not in by_word:
+                by_word[word] = chain_weight_sum(alpha, g, anchored=group == "B", mode="poly")
+            polys.append(by_word[word])
         for g, c, poly in zip(elements, classes, polys):
             if poly != polys[first[c]]:
                 raise AssertionError(f"the {builder.__name__}({k}) enumerator of {list(g)} "
@@ -488,11 +502,41 @@ def _factor_table(builder, k: int, n: int, force: bool) -> list[MultiPoly]:
 def _equation(firstb, secondb, mode: str, p: int, q: int, n: int, force: bool):
     """One equation's product alphabet, the per-class enumerators G of sigma
     over the second alphabet and F of tau over the first, embedded in the
-    product's p + q + 2 slots."""
+    product's p + q + 2 slots, and the factorization rows that pair them.
+    All but the rows are built once per (equation, p, q, n); the caller
+    checks the size guards first."""
     arity = p + q + 2
-    return (product_alphabet(shared_alphabet(firstb, p), shared_alphabet(secondb, q), mode),
-            [g.embed(arity, p + 1) for g in _factor_table(secondb, q, n, force)],
-            [f.embed(arity, 0) for f in _factor_table(firstb, p, n, force)])
+
+    def build():
+        return (product_alphabet(shared_alphabet(firstb, p), shared_alphabet(secondb, q), mode),
+                [g.embed(arity, p + 1) for g in _factor_table(secondb, q, n, force)],
+                [f.embed(arity, 0) for f in _factor_table(firstb, p, n, force)])
+
+    famL, famR = _ENUMERATOR_FAMILY[secondb], _ENUMERATOR_FAMILY[firstb]
+    rows = groupalgebra._pair_rows(groupalgebra.CLASS_FAMILIES[famL][0], n, famL, famR)
+    return (*memo("equations", (firstb.__name__, secondb.__name__, mode, p, q, n), build), rows)
+
+
+def _equations(flavor: str, p: int, q: int, n: int, force: bool) -> list[tuple]:
+    """The size guards of a bipartite check, then its equations."""
+    check_limit("bipartite chain length", n, BIPARTITE_MAX_N, force)
+    check_limit("bipartite alphabet size", max(p, q), BIPARTITE_MAX_VARS, force)
+    if min(p, q) < 1:
+        raise ValueError("need at least one variable per side")
+    return [_equation(*equation, p, q, n, force) for equation in _BIPARTITE[flavor]]
+
+
+def _convolution(sig: list[MultiPoly], tau: list[MultiPoly], row: list[int]) -> MultiPoly:
+    """sum over a of G_a * (sum over b of N(a, b) F_b) for one
+    factorization row N."""
+    rhs = MultiPoly.zero(sig[0].arity)
+    for a, g in enumerate(sig):
+        h = MultiPoly.zero(g.arity)
+        for count, f in zip(row[a * len(tau):], tau):
+            if count:
+                h = h + f * count
+        rhs = rhs + g * h
+    return rhs
 
 
 def _first_difference(a: MultiPoly, b: MultiPoly):
@@ -518,25 +562,11 @@ def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
         raise ValueError(f"unknown bipartite flavor {flavor!r}")
     group = "B" if flavor == "B" else "S"
     perm = validate_perm(pi, signed=group == "B")
-    n = len(perm)
-    check_limit("bipartite chain length", n, BIPARTITE_MAX_N, force)
-    check_limit("bipartite alphabet size", max(p, q), BIPARTITE_MAX_VARS, force)
-    if min(p, q) < 1:
-        raise ValueError("need at least one variable per side")
-    at = groupalgebra._group_index(group, n)[0][perm]
-    for firstb, secondb, mode in _BIPARTITE[flavor]:
-        alpha, sig, tau = _equation(firstb, secondb, mode, p, q, n, force)
+    equations = _equations(flavor, p, q, len(perm), force)
+    at = groupalgebra._group_index(group, len(perm))[0][perm]
+    for alpha, sig, tau, rows in equations:
         lhs = chain_weight_sum(alpha, perm, anchored=group == "B", mode="poly")
-        row = groupalgebra._pair_rows(group, n, _ENUMERATOR_FAMILY[secondb],
-                                      _ENUMERATOR_FAMILY[firstb])[at]
-        rhs = MultiPoly.zero(p + q + 2)
-        for a, g in enumerate(sig):
-            h = MultiPoly.zero(p + q + 2)
-            for count, f in zip(row[a * len(tau):], tau):
-                if count:
-                    h = h + f * count
-            rhs = rhs + g * h
-        diff = _first_difference(lhs, rhs)
+        diff = _first_difference(lhs, _convolution(sig, tau, rows[at]))
         if diff is not None:
             return diff
     return None
@@ -589,16 +619,27 @@ _RANK_SHIFT = {"fib_rank_interior": ("interior", -1), "fib_rank_left": ("left", 
 
 def _expansion_sweep(which: str, n: int, force: bool) -> dict:
     """Each element's enumerator at m = 1, 2, 3 against its class's realized
-    expansion: the class label is exactly what delta_expansion reads."""
+    expansion: the class label is exactly what delta_expansion reads.  The
+    enumerators are computed once per chain word, at its first element, and
+    each (class, word) pair is compared once: every later element with the
+    same pair has the same two sides."""
     basis = "monomial" if which == "mon" else "fundamental"
     for flavor, (signed, *_, alphabet) in _FLAVORS.items():
         elements = iterate_group("B" if signed else "S", n, force)
         _, classes, first = groupalgebra._class_table(_ENUMERATOR_FAMILY[alphabet], n, force)
         realized = [[truncate_realize(delta_expansion(elements[i], flavor, basis), m, force)
                      for m in (1, 2, 3)] for i in first]
+        by_word: dict = {}
+        compared = set()
         for g, c in zip(elements, classes):
-            for m, got in zip((1, 2, 3), realized[c]):
-                diff = _first_difference(got, truncated_enumerator(g, flavor, m, force))
+            word = chain_word(g, signed)
+            if (c, word) in compared:
+                continue
+            compared.add((c, word))
+            if word not in by_word:
+                by_word[word] = [truncated_enumerator(g, flavor, m, force) for m in (1, 2, 3)]
+            for m, got, want in zip((1, 2, 3), realized[c], by_word[word]):
+                diff = _first_difference(got, want)
                 if diff is not None:
                     exps, a, b = diff
                     return {
@@ -614,10 +655,31 @@ def _expansion_sweep(which: str, n: int, force: bool) -> dict:
 
 
 def _bipartite_sweep(flavor: str, n: int, force: bool) -> dict:
+    """bipartite_check at p = q = 2 for every element, with each
+    equation's left-hand side computed once per chain word and its
+    right-hand side once per shared factorization row; each (word, row)
+    pair is compared once, as in _expansion_sweep."""
     group = "B" if flavor == "B" else "S"
-    for g in iterate_group(group, n, force):
-        res = _bipartite_residue(g, flavor, 2, 2, force)
-        if res is not None:
+    elements = iterate_group(group, n, force)
+    equations = _equations(flavor, 2, 2, n, force)
+    # a descent class's elements share one row list, so a row is keyed by id
+    lhs: dict = {}
+    rhs: dict = {}
+    compared = set()
+    for at, g in enumerate(elements):
+        word = chain_word(g, group == "B")
+        for e, (alpha, sig, tau, rows) in enumerate(equations):
+            row = rows[at]
+            if (e, word, id(row)) in compared:
+                continue
+            compared.add((e, word, id(row)))
+            if (e, word) not in lhs:
+                lhs[e, word] = chain_weight_sum(alpha, g, anchored=group == "B", mode="poly")
+            if (e, id(row)) not in rhs:
+                rhs[e, id(row)] = _convolution(sig, tau, row)
+            res = _first_difference(lhs[e, word], rhs[e, id(row)])
+            if res is None:
+                continue
             exps, a, b = res
             return {
                 "ok": False,

@@ -338,7 +338,7 @@ def test_expansions_match_truncated_realizations(which):
 @pytest.mark.parametrize("check", ("gf_ges", "gf_interior", "gf_left", "gf_B",
                                    "gf_peakideal", "gf_interiordescent"))
 def test_bipartite_product_identities(check):
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         out = verify_hook(check, n)
         assert out["ok"], (check, n, out)
 

@@ -174,7 +174,7 @@ def test_refusal_names_both_overrides(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--theorem", "ges", "-n", "9")
     assert code == 3 and overrides in err
     monkeypatch.setattr(cli, "all_theorem_ids", lambda: ["gf_B"])
-    code, payload, _ = run(capsys, "verify", "--all", "-n", "5")
+    code, payload, _ = run(capsys, "verify", "--all", "-n", "6")
     assert code == 3 and overrides in payload["results"][0]["refused"]
 
 

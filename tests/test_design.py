@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import peaklab
-from peaklab import groupalgebra, limits, orderpolys, posets
+from peaklab import groupalgebra, limits, orderpolys, posets, qsym
 from peaklab.exact import UniPoly
 
 # Imports every peaklab module, records the size of each module-level
@@ -43,6 +43,18 @@ def test_limits_caches_is_the_only_module_cache():
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["peaklab.limits._CACHES"]
+
+
+def test_sweeps_keep_only_class_level_data(monkeypatch):
+    # the enumerators a sweep computes per chain word live in that sweep;
+    # the caches keep groups, classes, alphabets, realizations and tables
+    monkeypatch.setattr(limits, "_CACHES", {})
+    assert qsym.verify_hook("mon", 4)["ok"] and qsym.verify_hook("gf_B", 4)["ok"]
+    assert sorted(limits._CACHES) == ["alphabets", "class_tables", "equations",
+                                      "factor_tables", "group_index", "groups", "pair_rows",
+                                      "realizations"]
+    classes = len(groupalgebra._class_table("B_peak_sign_set", 4, False)[0])
+    assert [len(table) for table in limits._CACHES["factor_tables"].values()] == [classes]
 
 
 def test_ga_multiply_builds_one_fraction_per_output_term(monkeypatch):

@@ -18,10 +18,11 @@ from peaklab import (
     zigzag_poset,
 )
 from peaklab.exact import MultiPoly
-from peaklab.perms import iterate_group
+from peaklab.perms import STATISTICS, iterate_group
 from peaklab.posets import (
     IMAGE_SET_KINDS,
     b_enriched_alphabet,
+    chain_word,
     enriched_alphabet,
     exterior_enriched_alphabet,
     left_enriched_alphabet,
@@ -32,6 +33,7 @@ from peaklab.posets import (
     right_enriched_alphabet,
     support_counts,
 )
+from peaklab.qsym import _BIPARTITE
 
 
 # --- alphabets -----------------------------------------------------------------
@@ -261,6 +263,105 @@ def test_packed_chain_sum_reaches_the_chain_length_in_one_slot():
     assert got == _chain_sum_by_multipoly(ordinary_alphabet(1), labels, False)
     two = product_alphabet(ordinary_alphabet(1), ordinary_alphabet(1), "lex")
     assert chain_weight_sum(two, labels, mode="poly") == MultiPoly.monomial(4, (0, 6, 0, 6))
+
+
+# (exponent tuple, letter exponents) -> their sum, shared by every scan below
+_MOVED: dict = {}
+
+
+def _chain_sum_by_labels(alphabet, labels, anchored, poly):
+    """The per-element chain scan: it compares the labels themselves, with
+    tuple-keyed exponent dicts (poly) or ints (count) as weights."""
+    size, eps, exps = alphabet.size, alphabet.eps, alphabet.exps
+    if not poly:
+        state = [0] * size if anchored else [1] * size
+        if anchored:
+            state[alphabet.zero] = 1
+        prev = 0 if anchored else labels[0]
+        for lab in labels[0 if anchored else 1:]:
+            need = 1 if prev < lab else -1
+            run, new = 0, []
+            for j in range(size):
+                new.append(run + state[j] if eps[j] == need else run)
+                run += state[j]
+            state, prev = new, lab
+        return sum(state)
+
+    def shifted(weight, j):
+        out = {}
+        for key, c in weight.items():
+            if (key, exps[j]) not in _MOVED:
+                _MOVED[key, exps[j]] = tuple(a + b for a, b in zip(key, exps[j]))
+            out[_MOVED[key, exps[j]]] = c
+        return out
+
+    origin = (0,) * alphabet.arity
+    if anchored:
+        state = [{} for _ in range(size)]
+        state[alphabet.zero] = {origin: 1}
+        prev = 0
+    else:
+        state, prev = [shifted({origin: 1}, j) for j in range(size)], labels[0]
+    for lab in labels[0 if anchored else 1:]:
+        need = 1 if prev < lab else -1
+        run, new = {}, []
+        for j in range(size):
+            if eps[j] != need:
+                new.append(shifted(run, j))
+            for key, c in state[j].items():
+                run[key] = run.get(key, 0) + c
+            if eps[j] == need:
+                new.append(shifted(run, j))
+        state, prev = new, lab
+    total = {}
+    for here in state:
+        for key, c in here.items():
+            total[key] = total.get(key, 0) + c
+    return MultiPoly(alphabet.arity, total)
+
+
+_WORD_ALPHABETS = [
+    *(build(2) for build in IMAGE_SET_KINDS.values()),
+    *(product_alphabet(first(2), second(2), mode)
+      for equations in _BIPARTITE.values() for first, second, mode in equations),
+]
+
+
+@pytest.mark.parametrize("alphabet", _WORD_ALPHABETS, ids=lambda a: a.name)
+def test_word_keyed_chain_sum_matches_the_per_element_scan(alphabet):
+    # every element of S_1..S_5 and of B_1..B_4 (anchored over a signed
+    # alphabet, as the type-B checks scan them) reads the enumerator
+    # scanned at the first element with its word
+    chains = [("S", n, False) for n in range(1, 6)]
+    chains += [("B", n, alphabet.signed) for n in range(1, 5)]
+    for group, n, anchored in chains:
+        for poly in (False, True):
+            mode = "poly" if poly else "count"
+            by_word = {}
+            for g in iterate_group(group, n):
+                word = chain_word(g, anchored)
+                if word not in by_word:
+                    by_word[word] = chain_weight_sum(alphabet, g, anchored=anchored, mode=mode)
+                assert by_word[word] == _chain_sum_by_labels(alphabet, g, anchored, poly), \
+                    (group, g, anchored, mode)
+            # the word is the descent set: 2^(n-1) words in S_n and
+            # unanchored B_n, 2^n anchored
+            assert len(by_word) == 2 ** (n - 1 + anchored)
+
+
+def test_chain_word_is_the_descent_set():
+    for n in range(1, 6):
+        for g in iterate_group("S", n):
+            word = chain_word(g)
+            assert len(word) == n - 1
+            assert sum(1 << s for s, x in enumerate(word, 1) if x < 0) == STATISTICS["descent_linear"](g)
+    for n in range(1, 5):
+        for g in iterate_group("B", n):
+            word = chain_word(g, anchored=True)
+            assert len(word) == n
+            assert sum(1 << s for s, x in enumerate(word) if x < 0) == STATISTICS["B_descent"](g)
+    assert chain_word(()) == () and chain_word((), anchored=True) == ()
+    assert chain_word((-2, 1), anchored=True) == (-1, 1)
 
 
 # --- poset construction -----------------------------------------------------------

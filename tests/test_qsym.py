@@ -40,7 +40,7 @@ from peaklab.perms import (
     sign_mask,
     symmetric_group,
 )
-from peaklab.posets import chain_weight_sum, ordinary_alphabet, product_alphabet
+from peaklab.posets import chain_weight_sum, chain_word, ordinary_alphabet, product_alphabet
 from peaklab.qsym import (
     COALGEBRA_FAMILIES,
     _submasks,
@@ -275,7 +275,7 @@ def test_bipartite_smoke():
     with pytest.raises(ValueError):
         bipartite_check((1, 2), "gesA", 0, 2)
     with pytest.raises(ResourceLimitError):
-        bipartite_check((1, 2, 3, 4, 5), "gesA", 2, 2)
+        bipartite_check((1, 2, 3, 4, 5, 6), "gesA", 2, 2)
     with pytest.raises(ResourceLimitError):
         bipartite_check((1, 2), "gesA", 4, 2)
 
@@ -349,8 +349,9 @@ def test_factor_tables_are_built_once_per_alphabet(monkeypatch):
         if flavor != "B":
             assert verify_hook(check, 4)["ok"], check
     # one table per alphabet (ordinary, enriched, left enriched) and one
-    # left-hand side per equation (six), each over the 24 elements of S_4
-    assert calls == (3 + 6) * 24
+    # left-hand side per equation (six), each scanned once per descent
+    # word: S_4 has 2^3 of them
+    assert calls == (3 + 6) * 8
 
 
 def test_coalgebra_constants_duality():
@@ -412,8 +413,9 @@ def test_expansion_sweep_realizes_once_per_class(monkeypatch, check):
     classes = sum(len(groupalgebra._class_table(f, 4, False)[0]) for f in families)
     assert classes == 3 + 5 + 8
     assert realized == {1: classes, 2: classes, 3: classes}
-    # every element is still compared with its own enumerator
-    assert compared == {m: 24 + 24 + 384 for m in (1, 2, 3)}
+    # one enumerator per chain word: 2^3 descent sets of S_4 for each
+    # unsigned flavor, 2^4 type-B descent sets of B_4
+    assert compared == {m: 8 + 8 + 16 for m in (1, 2, 3)}
 
 
 # --- failure paths of the registry sweeps -------------------------------------------
@@ -461,6 +463,28 @@ def test_bipartite_sweep_reports_first_failing_element(monkeypatch):
         "counterexample": ([2, 3, 1], "product enumerator, monomial (0, 0, 3, 0, 2, 1): 1",
                            "factorization sum: 0"),
     }
+
+
+@pytest.mark.parametrize("check", ["mon", "fun", "gf_ges", "gf_B"])
+def test_sweep_names_the_element_given_a_wrong_word(monkeypatch, check):
+    # one element that does not own its descent class is handed the
+    # identity's word, so the sweep reads the identity's enumerator for it:
+    # the sweep fails there, and nowhere earlier
+    group, n = ("B", 3) if check == "gf_B" else ("S", 4)
+    assert verify_hook(check, n)["ok"]  # the factor tables, from the true words
+    elements = iterate_group(group, n)
+    owners = groupalgebra._group_index(group, n)[4]
+    # the expansion sweeps start with interior peak classes: take an element
+    # with an interior peak, whose class is not the identity's
+    wrong = [g for i, g in enumerate(elements) if owners[i] != i
+             and (check in qsym._GF_FLAVORS or STATISTICS["peak_interior"](g))][-1]
+
+    def word(labels, anchored=False):
+        return chain_word(elements[0] if tuple(labels) == wrong else labels, anchored)
+
+    monkeypatch.setattr(qsym, "chain_word", word)
+    out = verify_hook(check, n)
+    assert not out["ok"] and out["counterexample"][0] == list(wrong), out
 
 
 def test_fibonacci_rank_mismatch_is_reported(monkeypatch):
