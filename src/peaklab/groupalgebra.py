@@ -284,6 +284,16 @@ def _class_table(family: str, n: int, force: bool):
     return memo("class_tables", (family, n), build)
 
 
+def _first_of_each(keys):
+    """The index of the first item of each distinct key, in order, drawn
+    lazily: a sweep that stops early reads no further keys."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            yield i
+
+
 def family_labels(family: str, n: int, force: bool = False) -> list:
     """Sorted list of class labels.  Realized values, plus the one legal
     empty label: for even n the all-negative-start class at the top peak
@@ -767,7 +777,10 @@ def _cleared(polys: list[UniPoly], args) -> dict:
 def _check_product(group: str, n: int, famL: str, famR: str, famT: str, force: bool):
     """Grid check of famL(x) famR(y) == famT(xy), coefficient by coefficient
     over the group, using factorization-count tensors, at every node of the
-    (degx+1) x (degy+1) grid."""
+    (degx+1) x (degy+1) grid.  An element's coefficient is fixed by its
+    factorization row and its target class, so the grid runs at the first
+    element of each (row, class) pair, and a failure names the first
+    failing element in group order."""
     check_limit(f"{group}-group table", n, VERIFY_MAX[group], force)
     elements = iterate_group(group, n, force)
     polysL = _class_polys(famL, n, force)
@@ -787,18 +800,14 @@ def _check_product(group: str, n: int, famL: str, famR: str, famT: str, force: b
     for x0, y0 in product(xs, ys):
         (dl, vl), (dr, vr) = atx[x0], aty[y0]
         grid.append((x0, y0, dl * dr, [u * v for u in vl for v in vr], *atxy[x0 * y0]))
-    seen: set = set()
-    for p, c, row in zip(elements, classesT, rows):
-        key = (tuple(row), c)
-        if key in seen:
-            continue
-        seen.add(key)
+    for i in _first_of_each(zip(map(tuple, rows), classesT)):
+        row, c = rows[i], classesT[i]
         for x0, y0, d, weights, dt, vt in grid:
             acc = sum(map(mul, row, weights))
             if acc * dt != vt[c] * d:
                 return {
                     "ok": False,
-                    "counterexample": (list(p), format_rational(Fraction(acc, d)),
+                    "counterexample": (list(elements[i]), format_rational(Fraction(acc, d)),
                                        format_rational(Fraction(vt[c], dt))),
                     "node": [x0, y0],
                 }

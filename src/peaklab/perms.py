@@ -86,8 +86,9 @@ def hat(p: Perm) -> Perm:
 # --- masks -----------------------------------------------------------------
 #
 # Bit i of a mask means "position i is in the set".  Unsigned descents and
-# peaks live in 1..n-1 (cyclic descents may add n); signed descents live in
-# 0..n-1 (cyclic may add n); signed peaks live in 1..n-1.
+# peaks live in 1..n-1 (cyclic descents and right or exterior peaks may add
+# n); signed descents live in 0..n-1 (cyclic may add n); signed peaks live
+# in 1..n-1.
 
 
 def descent_mask(p: Perm) -> int:
@@ -106,42 +107,10 @@ def cyclic_descent_mask(p: Perm) -> int:
     return m
 
 
-def _peak_masks(p: Perm) -> tuple[int, int]:
-    """(rises, falls) with zero sentinels at both ends.
-
-    Bit i of rises:  p(i-1) < p(i), for i in 1..n+1, reading p(0)=p(n+1)=0.
-    Bit i of falls:  p(i) > p(i+1), same convention.  A peak at i is a rise
-    into i and a fall out of it; the interior, right and exterior flavors
-    differ only in which boundary index is allowed.
-    """
-    n = len(p)
-    ext = (0,) + p + (0,)
-    rises = 0
-    falls = 0
-    for i in range(1, n + 1):
-        if ext[i - 1] < ext[i]:
-            rises |= 1 << i
-        if ext[i] > ext[i + 1]:
-            falls |= 1 << i
-    return rises, falls
-
-
-def _range_mask(lo: int, hi: int) -> int:
-    """Bits lo..hi inclusive."""
-    if hi < lo:
-        return 0
-    return ((1 << (hi - lo + 1)) - 1) << lo
-
-
-def peak_mask(p: Perm) -> int:
-    """Interior peaks: strictly inside, 2..n-1."""
-    rises, falls = _peak_masks(p)
-    return rises & falls & _range_mask(2, len(p) - 1)
-
-
 def left_peak_mask(p: Perm) -> int:
     """Peaks in 1..n-1 with a zero sentinel on the left; this is also the
-    type-B peak set, where 1 is a peak only when 0 < p(1) > p(2)."""
+    type-B peak set, where 1 is a peak only when 0 < p(1) > p(2).  The
+    other peak flavors are read off this one scan."""
     ext = (0,) + p
     m = 0
     for i in range(1, len(p)):
@@ -150,16 +119,22 @@ def left_peak_mask(p: Perm) -> int:
     return m
 
 
+def peak_mask(p: Perm) -> int:
+    """Interior peaks: strictly inside, 2..n-1."""
+    return left_peak_mask(p) & ~0b10
+
+
 def right_peak_mask(p: Perm) -> int:
     """Position n may be a peak (the right sentinel is 0), 1 may not."""
-    rises, falls = _peak_masks(p)
-    return rises & falls & _range_mask(2, len(p))
+    n = len(p)
+    return left_peak_mask(p) & ~0b10 | (n > 1 and p[-2] < p[-1]) << n
 
 
 def exterior_peak_mask(p: Perm) -> int:
-    """Both ends allowed; equals left | right."""
-    rises, falls = _peak_masks(p)
-    return rises & falls & _range_mask(1, len(p))
+    """Both ends allowed, with zero sentinels on both sides.  For n >= 2
+    this is left | right; S_1's one element is a peak at 1 in neither."""
+    n = len(p)
+    return left_peak_mask(p) | (n == 1 or n > 1 and p[-2] < p[-1]) << n
 
 
 def sign_mask(p: Perm) -> int:

@@ -23,10 +23,12 @@ that uses that alphabet.
 
 A chain's enumerator is a function of its up/down word (posets.chain_word),
 which is the descent set of a permutation and the type-B descent set of a
-signed one.  So the factor tables and the registry sweeps scan each word
-once, at the first element in group order that has it, and the sweeps
-build each right-hand side once per shared factorization row.  Every
-element is still checked, against its own class or its own row.
+signed one.  So every element with the same class (or factorization row)
+and the same word has the same two sides, and the factor tables and the
+registry sweeps run the per-element code that the public functions run
+only at the first element of each such pair, in group order
+(groupalgebra._first_of_each).  Every element is still checked, against its
+own class or its own row, and a failure names the first failing element.
 """
 
 from __future__ import annotations
@@ -474,27 +476,26 @@ def _factor_table(builder, k: int, n: int, force: bool) -> list[MultiPoly]:
     """One single-alphabet enumerator over builder(k) per class of the
     builder's family, in label order; cached per (alphabet, k, n), so the
     equations that share an alphabet share its table.  The chain is scanned
-    once per word; every element's word enumerator is checked against its
-    class representative's, and a difference raises AssertionError."""
+    at the first element of each (class, word) pair and checked against its
+    class's first element, whose scan comes first; a difference raises
+    AssertionError."""
     family = _ENUMERATOR_FAMILY[builder]
-    group = groupalgebra.CLASS_FAMILIES[family][0]
-    labels, classes, first = groupalgebra._class_table(family, n, force)
-    elements = iterate_group(group, n, force)
+    signed = groupalgebra.CLASS_FAMILIES[family][0] == "B"
+    labels, classes, _ = groupalgebra._class_table(family, n, force)
+    elements = iterate_group("B" if signed else "S", n, force)
 
     def build() -> list[MultiPoly]:
         alpha = shared_alphabet(builder, k)
-        by_word: dict = {}
-        polys = []
-        for g in elements:
-            word = chain_word(g, group == "B")
-            if word not in by_word:
-                by_word[word] = chain_weight_sum(alpha, g, anchored=group == "B", mode="poly")
-            polys.append(by_word[word])
-        for g, c, poly in zip(elements, classes, polys):
-            if poly != polys[first[c]]:
-                raise AssertionError(f"the {builder.__name__}({k}) enumerator of {list(g)} "
-                                     f"differs from that of its {family} class {labels[c]!r}")
-        return [polys[i] for i in first]
+        table: dict = {}
+        words = (chain_word(g, signed) for g in elements)
+        for i in groupalgebra._first_of_each(zip(classes, words)):
+            c = classes[i]
+            poly = chain_weight_sum(alpha, elements[i], anchored=signed, mode="poly")
+            if table.setdefault(c, poly) != poly:
+                raise AssertionError(f"the {builder.__name__}({k}) enumerator of "
+                                     f"{list(elements[i])} differs from that of its "
+                                     f"{family} class {labels[c]!r}")
+        return [table[c] for c in range(len(labels))]
 
     return memo("factor_tables", (builder.__name__, k, n), build)
 
@@ -551,21 +552,16 @@ def _first_difference(a: MultiPoly, b: MultiPoly):
             return exps, x, y
 
 
-def _bipartite_residue(pi, flavor: str, p: int, q: int, force: bool):
-    """None when every listed identity holds at pi, else the first mismatch.
+def _bipartite_residue(perm, at: int, equations: list[tuple], signed: bool):
+    """None when every equation holds at perm, the element at index at of
+    its group, else the first mismatch.
 
-    The left-hand side is the chain enumerator of pi over the product
+    The left-hand side is the chain enumerator of perm over the product
     alphabet; the right-hand side is sum over a of G_a * (sum over b of
-    N_pi(a, b) F_b), with N the factorization counts over the two builders'
-    class families."""
-    if flavor not in _BIPARTITE:
-        raise ValueError(f"unknown bipartite flavor {flavor!r}")
-    group = "B" if flavor == "B" else "S"
-    perm = validate_perm(pi, signed=group == "B")
-    equations = _equations(flavor, p, q, len(perm), force)
-    at = groupalgebra._group_index(group, len(perm))[0][perm]
+    N_perm(a, b) F_b), with N the factorization counts over the two
+    builders' class families."""
     for alpha, sig, tau, rows in equations:
-        lhs = chain_weight_sum(alpha, perm, anchored=group == "B", mode="poly")
+        lhs = chain_weight_sum(alpha, perm, anchored=signed, mode="poly")
         diff = _first_difference(lhs, _convolution(sig, tau, rows[at]))
         if diff is not None:
             return diff
@@ -579,7 +575,13 @@ def bipartite_check(pi, flavor: str, p: int, q: int, force: bool = False) -> boo
     holds for pi with the first alphabet truncated to p variables and the
     second to q.
     """
-    return _bipartite_residue(pi, flavor, p, q, force) is None
+    if flavor not in _BIPARTITE:
+        raise ValueError(f"unknown bipartite flavor {flavor!r}")
+    group = "B" if flavor == "B" else "S"
+    perm = validate_perm(pi, signed=group == "B")
+    equations = _equations(flavor, p, q, len(perm), force)
+    at = groupalgebra._group_index(group, len(perm))[0][perm]
+    return _bipartite_residue(perm, at, equations, group == "B") is None
 
 
 # --- coalgebra duality -----------------------------------------------------------
@@ -618,28 +620,21 @@ _RANK_SHIFT = {"fib_rank_interior": ("interior", -1), "fib_rank_left": ("left", 
 
 
 def _expansion_sweep(which: str, n: int, force: bool) -> dict:
-    """Each element's enumerator at m = 1, 2, 3 against its class's realized
-    expansion: the class label is exactly what delta_expansion reads.  The
-    enumerators are computed once per chain word, at its first element, and
-    each (class, word) pair is compared once: every later element with the
-    same pair has the same two sides."""
+    """Each element's truncated_enumerator at m = 1, 2, 3 against its
+    class's realized expansion: the class label is exactly what
+    delta_expansion reads, and the word exactly what the enumerator reads,
+    so only the first element of each (class, word) pair is compared."""
     basis = "monomial" if which == "mon" else "fundamental"
     for flavor, (signed, *_, alphabet) in _FLAVORS.items():
         elements = iterate_group("B" if signed else "S", n, force)
         _, classes, first = groupalgebra._class_table(_ENUMERATOR_FAMILY[alphabet], n, force)
         realized = [[truncate_realize(delta_expansion(elements[i], flavor, basis), m, force)
                      for m in (1, 2, 3)] for i in first]
-        by_word: dict = {}
-        compared = set()
-        for g, c in zip(elements, classes):
-            word = chain_word(g, signed)
-            if (c, word) in compared:
-                continue
-            compared.add((c, word))
-            if word not in by_word:
-                by_word[word] = [truncated_enumerator(g, flavor, m, force) for m in (1, 2, 3)]
-            for m, got, want in zip((1, 2, 3), realized[c], by_word[word]):
-                diff = _first_difference(got, want)
+        words = (chain_word(g, signed) for g in elements)
+        for i in groupalgebra._first_of_each(zip(classes, words)):
+            g = elements[i]
+            for m, got in zip((1, 2, 3), realized[classes[i]]):
+                diff = _first_difference(got, truncated_enumerator(g, flavor, m, force))
                 if diff is not None:
                     exps, a, b = diff
                     return {
@@ -655,36 +650,23 @@ def _expansion_sweep(which: str, n: int, force: bool) -> dict:
 
 
 def _bipartite_sweep(flavor: str, n: int, force: bool) -> dict:
-    """bipartite_check at p = q = 2 for every element, with each
-    equation's left-hand side computed once per chain word and its
-    right-hand side once per shared factorization row; each (word, row)
-    pair is compared once, as in _expansion_sweep."""
-    group = "B" if flavor == "B" else "S"
-    elements = iterate_group(group, n, force)
+    """bipartite_check at p = q = 2 for every element: its residue depends
+    only on its chain word and its factorization row in each equation, so
+    only the first element of each such key is compared.  A descent
+    class's elements share one row list, so a row is keyed by its id."""
+    signed = flavor == "B"
+    elements = iterate_group("B" if signed else "S", n, force)
     equations = _equations(flavor, 2, 2, n, force)
-    # a descent class's elements share one row list, so a row is keyed by id
-    lhs: dict = {}
-    rhs: dict = {}
-    compared = set()
-    for at, g in enumerate(elements):
-        word = chain_word(g, group == "B")
-        for e, (alpha, sig, tau, rows) in enumerate(equations):
-            row = rows[at]
-            if (e, word, id(row)) in compared:
-                continue
-            compared.add((e, word, id(row)))
-            if (e, word) not in lhs:
-                lhs[e, word] = chain_weight_sum(alpha, g, anchored=group == "B", mode="poly")
-            if (e, id(row)) not in rhs:
-                rhs[e, id(row)] = _convolution(sig, tau, row)
-            res = _first_difference(lhs[e, word], rhs[e, id(row)])
-            if res is None:
-                continue
+    keys = ((chain_word(g, signed), *(id(rows[at]) for *_, rows in equations))
+            for at, g in enumerate(elements))
+    for at in groupalgebra._first_of_each(keys):
+        res = _bipartite_residue(elements[at], at, equations, signed)
+        if res is not None:
             exps, a, b = res
             return {
                 "ok": False,
                 "counterexample": (
-                    list(g),
+                    list(elements[at]),
                     f"product enumerator, monomial {exps}: {format_rational(a)}",
                     f"factorization sum: {format_rational(b)}",
                 ),

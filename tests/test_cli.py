@@ -1,6 +1,9 @@
 """End-to-end runs of the command line adapter, in process plus real
 subprocesses for the console script and for ``python -m peaklab.cli``."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,10 +12,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peaklab import cli, limits
 from peaklab.cli import main
-from peaklab.groupalgebra import all_theorem_ids, idempotent_powers
+from peaklab.groupalgebra import (
+    CLASS_FAMILIES,
+    STRUCTURE_FAMILIES,
+    all_theorem_ids,
+    idempotent_powers,
+)
+from peaklab.orderpolys import ORDER_POLY_KINDS
+from peaklab.qsym import _FLAVORS
 
 
 def run(capsys, *argv):
@@ -340,3 +352,75 @@ def test_verify_requests_carry_no_state(capsys, first, second, checked):
     assert code == 0 and payload["checked"] == checked
     if checked == 1:
         assert [r["theorem"] for r in payload["results"]] == ["ges"]
+
+
+# --- argv fuzzing ------------------------------------------------------------------
+#
+# Names come from the registries, with one unknown name mixed in; sizes stay
+# at n <= 3 and permutations at 4 entries or fewer, and --force is never
+# drawn, so every request is small or refused by a guard.
+
+
+def _named(names):
+    return st.sampled_from(sorted(names) + ["nope"])
+
+
+def _argv(*parts):
+    """One argv from strategies that each draw a list of arguments."""
+    return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _signs(perm):
+    return st.tuples(*(st.sampled_from((v, -v)) for v in perm)).map(list)
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+_N = _opt("-n", st.integers(-2, 3).map(str))
+_UNSIGNED = st.integers(0, 4).flatmap(lambda k: st.permutations(range(1, k + 1)))
+_PERM = st.one_of(
+    _UNSIGNED.map(json.dumps),
+    _UNSIGNED.flatmap(_signs).map(json.dumps),
+    st.lists(st.integers(-5, 5), max_size=4).map(json.dumps),
+    st.text("[]-,0123456789x. ", max_size=8),
+).map(lambda text: [text])
+_FUZZ = {
+    "stats": _argv(_PERM, _switch("--signed")),
+    "order-poly": _argv(_PERM, _opt("--kind", _named(ORDER_POLY_KINDS)), _switch("--gf")),
+    "idempotents": _argv(_opt("--family", _named(STRUCTURE_FAMILIES)), _N),
+    "verify": _argv(st.one_of(_opt("--theorem", _named(all_theorem_ids())),
+                              st.just(["--all"])), _N),
+    "structure-constants": _argv(_opt("--family", _named(CLASS_FAMILIES)), _N),
+    "qsym": _argv(st.just(["expand"]), _PERM, _opt("--flavor", _named(_FLAVORS)),
+                  _opt("--basis", st.sampled_from(["monomial", "fundamental"]))),
+    "peak-table": _N,
+    "closure": _argv(_opt("--family", _named(CLASS_FAMILIES)), _N),
+}
+
+
+def test_fuzz_covers_every_subcommand():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_FUZZ)
+
+
+@given(st.sampled_from(sorted(_FUZZ)).flatmap(
+    lambda command: _FUZZ[command].map(lambda args: [command, *args])))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (0, 1):
+        json.loads(out.getvalue())

@@ -178,6 +178,20 @@ def test_signed_masks_match_their_definitions():
             assert set(positions(STATISTICS["B_descent"](p))) == descents, p
 
 
+def test_unsigned_peak_masks_match_their_definitions():
+    # brute force on S_0..S_7, reading pi(0) = pi(n+1) = 0: a peak is
+    # pi(i-1) < pi(i) > pi(i+1), and the flavors keep interior 2..n-1,
+    # left 1..n-1, right 2..n and exterior 1..n
+    for n in range(8):
+        for p in symmetric_group(n):
+            w = (0,) + p + (0,)
+            peaks = {i for i in range(1, n + 1) if w[i - 1] < w[i] > w[i + 1]}
+            for mask, lo, hi in ((peak_mask, 2, n - 1), (left_peak_mask, 1, n - 1),
+                                 (right_peak_mask, 2, n), (exterior_peak_mask, 1, n)):
+                want = {i for i in peaks if lo <= i <= hi}
+                assert set(positions(mask(p))) == want, (mask.__name__, p)
+
+
 def test_peak_count_bound():
     # at most floor(n/2) signed peaks, and the bound is attained
     for p in hyperoctahedral_group(3):

@@ -40,7 +40,7 @@ from peaklab.perms import (
     sign_mask,
     symmetric_group,
 )
-from peaklab.posets import chain_weight_sum, chain_word, ordinary_alphabet, product_alphabet
+from peaklab.posets import chain_weight_sum, ordinary_alphabet, product_alphabet
 from peaklab.qsym import (
     COALGEBRA_FAMILIES,
     _submasks,
@@ -465,26 +465,74 @@ def test_bipartite_sweep_reports_first_failing_element(monkeypatch):
     }
 
 
+# sweep flavor -> the statistics whose masks name its classes.  A sweep runs
+# its per-element check at the first element of each (class, descent set)
+# pair: the descent set is the chain word, read with the anchor in B_n.
+_SWEEP_CLASSES = {"interior": ("peak_interior",), "left": ("peak_left",),
+                  "B": ("B_sign", "B_peak"), "gesA": ("descent_linear",)}
+_SWEEP_FLAVORS = {"mon": ("interior", "left", "B"), "fun": ("interior", "left", "B"),
+                  "gf_ges": ("gesA",), "gf_interior": ("interior",), "gf_B": ("B",)}
+
+
+def _first_elements(flavor, n, *extra):
+    """The elements, in group order, that come first with their value of
+    the flavor's class statistics and the extra statistics."""
+    group = "B" if flavor == "B" else "S"
+    seen, out = set(), []
+    for g in iterate_group(group, n):
+        key = tuple(STATISTICS[s](g) for s in _SWEEP_CLASSES[flavor] + extra)
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
+
+
+def _descents(flavor):
+    return "B_descent" if flavor == "B" else "descent_linear"
+
+
+def _record_checks(monkeypatch, check, visited, broken=None):
+    """Record (flavor, element) wherever the sweep runs its per-element
+    check; at the element broken, that check reports a false mismatch."""
+    if check in qsym._GF_FLAVORS:
+        flavor, real = qsym._GF_FLAVORS[check], qsym._bipartite_residue
+
+        def residue(perm, at, equations, signed):
+            visited.append((flavor, perm))
+            return ((0,), 1, 0) if perm == broken else real(perm, at, equations, signed)
+
+        monkeypatch.setattr(qsym, "_bipartite_residue", residue)
+    else:
+        def enumerate_chain(pi, flavor, m, force=False):
+            if m == 1:
+                visited.append((flavor, tuple(pi)))
+            got = truncated_enumerator(pi, flavor, m, force)
+            if tuple(pi) == broken and flavor == "interior":
+                got = got + MultiPoly.monomial(m + 1, (3,) + (0,) * m, 7)
+            return got
+
+        monkeypatch.setattr(qsym, "truncated_enumerator", enumerate_chain)
+
+
 @pytest.mark.parametrize("check", ["mon", "fun", "gf_ges", "gf_B"])
-def test_sweep_names_the_element_given_a_wrong_word(monkeypatch, check):
-    # one element that does not own its descent class is handed the
-    # identity's word, so the sweep reads the identity's enumerator for it:
-    # the sweep fails there, and nowhere earlier
-    group, n = ("B", 3) if check == "gf_B" else ("S", 4)
-    assert verify_hook(check, n)["ok"]  # the factor tables, from the true words
-    elements = iterate_group(group, n)
-    owners = groupalgebra._group_index(group, n)[4]
-    # the expansion sweeps start with interior peak classes: take an element
-    # with an interior peak, whose class is not the identity's
-    wrong = [g for i, g in enumerate(elements) if owners[i] != i
-             and (check in qsym._GF_FLAVORS or STATISTICS["peak_interior"](g))][-1]
+def test_sweeps_check_the_first_element_of_each_class_and_word(monkeypatch, check):
+    visited = []
+    _record_checks(monkeypatch, check, visited)
+    assert verify_hook(check, 4)["ok"]
+    assert visited == [(flavor, g) for flavor in _SWEEP_FLAVORS[check]
+                       for g in _first_elements(flavor, 4, _descents(flavor))]
 
-    def word(labels, anchored=False):
-        return chain_word(elements[0] if tuple(labels) == wrong else labels, anchored)
 
-    monkeypatch.setattr(qsym, "chain_word", word)
-    out = verify_hook(check, n)
-    assert not out["ok"] and out["counterexample"][0] == list(wrong), out
+@pytest.mark.parametrize("check", ["mon", "fun", "gf_interior", "gf_B"])
+def test_sweep_names_a_failure_at_a_word_inside_a_class(monkeypatch, check):
+    # the first element of a descent set that is not its class's first
+    # element: a sweep keyed on the class alone never checks it
+    flavor = _SWEEP_FLAVORS[check][0]
+    classes = _first_elements(flavor, 4)
+    broken = next(g for g in _first_elements(flavor, 4, _descents(flavor)) if g not in classes)
+    _record_checks(monkeypatch, check, [], broken)
+    out = verify_hook(check, 4)
+    assert not out["ok"] and out["counterexample"][0] == list(broken), out
 
 
 def test_fibonacci_rank_mismatch_is_reported(monkeypatch):
