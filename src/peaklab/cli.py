@@ -52,7 +52,7 @@ def _parse_perm(text: str) -> list[int]:
         t = f"[{t}]"
     try:
         vals = json.loads(t)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"cannot parse permutation {text!r}: {exc}") from None
     if not isinstance(vals, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in vals

@@ -24,6 +24,14 @@ needs.  For a permutation chain the word is its descent set, and for an
 anchored signed chain it is the Coxeter descent set of type B, with
 position 0 a descent iff pi(1) < 0.  So a sweep over a group scans each
 word once, at the first element that has it.
+
+Each image set is listed once as its letters bottom-up, a sign-symmetric
+one as its positive half mirrored below 0:
+
+>>> enriched_alphabet(2).labels
+('-1', '1', '-2', '2')
+>>> b_enriched_alphabet(1).labels
+('-1', "-1'", '0', "1'", '1')
 """
 
 from __future__ import annotations
@@ -60,8 +68,11 @@ class Alphabet:
     signed: bool = False
 
     def __post_init__(self):
-        if len(self.exps) != len(self.eps) or len(self.labels) != len(self.eps):
+        mags = self.eps if self.mags is None else self.mags
+        if {len(self.exps), len(self.labels), len(mags)} != {self.size}:
             raise ValueError("slot arrays disagree in length")
+        if set(map(len, self.exps)) - {self.arity}:
+            raise ValueError(f"an exponent vector needs {self.arity} entries")
         if self.signed and (self.size % 2 == 0 or self.eps != self.eps[::-1]):
             raise ValueError("a sign-symmetric alphabet needs a central zero and mirrored flags")
 
@@ -82,91 +93,58 @@ class Alphabet:
         return a < b or (a == b and self.eps[a] == need)
 
 
-def _unit(arity: int, at: int) -> tuple[int, ...]:
-    e = [0] * arity
-    e[at] = 1
-    return tuple(e)
+def _alphabet(name: str, letters, signed: bool = False) -> Alphabet:
+    """The alphabet of `letters`, (label, flag, magnitude) bottom-up.  Each
+    letter contributes the unit vector at its magnitude, one tuple shared
+    by the letters of that magnitude."""
+    labels, eps, mags = tuple(zip(*letters)) or ((), (), ())
+    arity = 1 + max(mags, default=0)
+    units = [(0,) * m + (1,) + (0,) * (arity - 1 - m) for m in range(arity)]
+    return Alphabet(name, eps, arity, tuple(units[m] for m in mags), labels, mags, signed)
+
+
+def _mirrored(name: str, half) -> Alphabet:
+    """The sign-symmetric alphabet with the letters `half` above 0: negation
+    reverses the order, so below 0 sit the same letters reversed, each
+    label negated."""
+    below = [(f"-{label}", flag, mag) for label, flag, mag in reversed(half)]
+    return _alphabet(name, [*below, ("0", 1, 0), *half], signed=True)
+
+
+def _enriched(k: int) -> list[tuple[str, int, int]]:
+    """-1 < 1 < ... < -k < k; the flag of -m is -, of m is +."""
+    return [(str(e * m), e, m) for m in range(1, k + 1) for e in (-1, 1)]
 
 
 def ordinary_alphabet(k: int) -> Alphabet:
     """The chain 1 < 2 < ... < k, all flags +."""
-    return Alphabet(
-        name=f"ordinary[{k}]",
-        eps=(1,) * k,
-        arity=k + 1,
-        exps=tuple(_unit(k + 1, v) for v in range(1, k + 1)),
-        labels=tuple(str(v) for v in range(1, k + 1)),
-        mags=tuple(range(1, k + 1)),
-    )
+    return _alphabet(f"ordinary[{k}]", [(str(m), 1, m) for m in range(1, k + 1)])
 
 
 def ordinary_b_alphabet(k: int) -> Alphabet:
     """The chain -k < ... < 0 < ... < k, all flags +, sign-symmetric."""
-    vals = list(range(-k, k + 1))
-    return Alphabet(
-        name=f"ordinaryB[{k}]",
-        eps=(1,) * (2 * k + 1),
-        arity=k + 1,
-        exps=tuple(_unit(k + 1, abs(v)) for v in vals),
-        labels=tuple(str(v) for v in vals),
-        mags=tuple(abs(v) for v in vals),
-        signed=True,
-    )
+    return _mirrored(f"ordinaryB[{k}]", [(str(m), 1, m) for m in range(1, k + 1)])
 
 
 def enriched_alphabet(k: int) -> Alphabet:
     """-1 < 1 < -2 < 2 < ... < -k < k; the flag of -m is -, of m is +."""
-    eps, exps, labels, mags = [], [], [], []
-    for m in range(1, k + 1):
-        for e in (-1, 1):
-            eps.append(e)
-            exps.append(_unit(k + 1, m))
-            labels.append(str(-m if e < 0 else m))
-            mags.append(m)
-    return Alphabet(f"enriched[{k}]", tuple(eps), k + 1, tuple(exps), tuple(labels), tuple(mags))
+    return _alphabet(f"enriched[{k}]", _enriched(k))
 
 
 def left_enriched_alphabet(k: int) -> Alphabet:
     """0 < -1 < 1 < ... < -k < k, with the flag of 0 forced to +."""
-    base = enriched_alphabet(k)
-    return Alphabet(
-        name=f"left_enriched[{k}]",
-        eps=(1,) + base.eps,
-        arity=k + 1,
-        exps=(_unit(k + 1, 0),) + base.exps,
-        labels=("0",) + base.labels,
-        mags=(0,) + base.mags,
-    )
+    return _alphabet(f"left_enriched[{k}]", [("0", 1, 0), *_enriched(k)])
 
 
 def right_enriched_alphabet(k: int) -> Alphabet:
     """-1 < 1 < ... < -k < k < -(k+1): one extra minus-flagged top element."""
-    base = enriched_alphabet(k)
-    pad = tuple(e + (0,) for e in base.exps)
-    return Alphabet(
-        name=f"right_enriched[{k}]",
-        eps=base.eps + (-1,),
-        arity=k + 2,
-        exps=pad + (_unit(k + 2, k + 1),),
-        labels=base.labels + (str(-(k + 1)),),
-        mags=base.mags + (k + 1,),
-    )
+    return _alphabet(f"right_enriched[{k}]", [*_enriched(k), (str(-k - 1), -1, k + 1)])
 
 
 def exterior_enriched_alphabet(k: int) -> Alphabet:
     """0 < -1 < 1 < ... < -(k-1) < k-1 < -k; empty when k = 0."""
-    if k == 0:
-        return Alphabet("exterior_enriched[0]", (), 1, (), (), ())
-    base = left_enriched_alphabet(k - 1)
-    pad = tuple(e + (0,) for e in base.exps)
-    return Alphabet(
-        name=f"exterior_enriched[{k}]",
-        eps=base.eps + (-1,),
-        arity=k + 1,
-        exps=pad + (_unit(k + 1, k),),
-        labels=base.labels + (str(-k),),
-        mags=base.mags + (k,),
-    )
+    letters = [("0", 1, 0), *_enriched(k - 1), (str(-k), -1, k)] if k else []
+    return _alphabet(f"exterior_enriched[{k}]", letters)
 
 
 def b_enriched_alphabet(k: int) -> Alphabet:
@@ -175,30 +153,8 @@ def b_enriched_alphabet(k: int) -> Alphabet:
     m' denotes the minus-flagged copy of m; negation sends m' to (-m)' and
     m to -m, so it preserves flags while reversing the order.
     """
-    eps, exps, labels, mags = [], [], [], []
-    for m in range(-k, k + 1):
-        if m == 0:
-            eps.append(1)
-            exps.append(_unit(k + 1, 0))
-            labels.append("0")
-            mags.append(0)
-            continue
-        # below zero the plus copy comes first, above zero last
-        order = (1, -1) if m < 0 else (-1, 1)
-        for e in order:
-            eps.append(e)
-            exps.append(_unit(k + 1, abs(m)))
-            labels.append(f"{m}'" if e < 0 else str(m))
-            mags.append(abs(m))
-    return Alphabet(
-        name=f"B_enriched[{k}]",
-        eps=tuple(eps),
-        arity=k + 1,
-        exps=tuple(exps),
-        labels=tuple(labels),
-        mags=tuple(mags),
-        signed=True,
-    )
+    half = [(f"{m}'" if e < 0 else str(m), e, m) for m in range(1, k + 1) for e in (-1, 1)]
+    return _mirrored(f"B_enriched[{k}]", half)
 
 
 IMAGE_SET_KINDS = {

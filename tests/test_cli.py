@@ -273,6 +273,22 @@ def test_module_subprocess_exit_codes():
     assert "Traceback" not in proc.stderr
 
 
+_DEEP = "[" * 1000 + "]" * 1000
+
+
+def test_deeply_nested_permutation_text_exits_2(capsys):
+    # json.loads gives up on deep nesting with a RecursionError, not a
+    # decode error; every subcommand that reads a permutation reports it
+    for argv in (["stats", _DEEP], ["order-poly", _DEEP, "--kind", "A_ordinary"],
+                 ["qsym", "expand", _DEEP, "--flavor", "interior"]):
+        code, payload, err = run(capsys, *argv)
+        assert (code, payload) == (2, None), argv
+        assert err.startswith("error: cannot parse permutation") and err.count("\n") == 1
+    proc = _fresh_process("stats", _DEEP)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_keeps_the_exit_code():
     read, write = os.pipe()
     os.close(read)
@@ -358,7 +374,9 @@ def test_verify_requests_carry_no_state(capsys, first, second, checked):
 #
 # Names come from the registries, with one unknown name mixed in; sizes stay
 # at n <= 3 and permutations at 4 entries or fewer, and --force is never
-# drawn, so every request is small or refused by a guard.
+# drawn, so every request is small or refused by a guard.  Malformed
+# permutation texts include brackets nested up to 3000 deep and one number
+# too long to parse.
 
 
 def _named(names):
@@ -384,11 +402,15 @@ def _switch(flag):
 
 _N = _opt("-n", st.integers(-2, 3).map(str))
 _UNSIGNED = st.integers(0, 4).flatmap(lambda k: st.permutations(range(1, k + 1)))
+_DEPTH = st.integers(0, 3000)
 _PERM = st.one_of(
     _UNSIGNED.map(json.dumps),
     _UNSIGNED.flatmap(_signs).map(json.dumps),
     st.lists(st.integers(-5, 5), max_size=4).map(json.dumps),
     st.text("[]-,0123456789x. ", max_size=8),
+    _DEPTH.map(lambda d: "[" * d + "]" * d),
+    st.tuples(_DEPTH, _DEPTH).map(lambda d: "[" * d[0] + "]" * d[1]),
+    st.just("9" * 4301),  # past the int parser's 4300-digit limit
 ).map(lambda text: [text])
 _FUZZ = {
     "stats": _argv(_PERM, _switch("--signed")),

@@ -1,15 +1,20 @@
 """The README's python examples and the module doctests run as tests."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
-from peaklab import exact
+import peaklab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+MODULES = ["peaklab", *(f"peaklab.{m.name}" for m in pkgutil.iter_modules(peaklab.__path__))]
+# modules whose docstrings carry examples, with at least this many each
+EXAMPLES = {"peaklab.exact": 3, "peaklab.posets": 2}
 
 
 def _passes(test: doctest.DocTest) -> bool:
@@ -28,7 +33,8 @@ def test_readme_example(index):
     assert _passes(test), BLOCKS[index]
 
 
-def test_exact_module_doctests():
-    tests = doctest.DocTestFinder().find(exact)
-    assert sum(len(t.examples) for t in tests) >= 3
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    tests = doctest.DocTestFinder().find(importlib.import_module(name))
+    assert sum(len(t.examples) for t in tests) >= EXAMPLES.get(name, 0)
     assert all(_passes(t) for t in tests if t.examples)

@@ -112,6 +112,55 @@ def test_signed_product_alphabet_negates_by_reversal(mode):
     assert not product_alphabet(ordinary_b_alphabet(1), enriched_alphabet(1), mode).signed
 
 
+def _listed_letters(kind: str, k: int) -> list[tuple[str, int, int]]:
+    """(label, flag, magnitude) bottom-up, in the order the builder's
+    docstring lists them."""
+    letters = []
+    if kind == "ordinary":
+        for m in range(1, k + 1):
+            letters.append((str(m), 1, m))
+    elif kind == "ordinaryB":
+        for v in range(-k, k + 1):
+            letters.append((str(v), 1, abs(v)))
+    elif kind == "B_enriched":
+        for v in range(-k, k + 1):
+            if v < 0:
+                letters += [(str(v), 1, -v), (f"{v}'", -1, -v)]
+            elif v == 0:
+                letters.append(("0", 1, 0))
+            else:
+                letters += [(f"{v}'", -1, v), (str(v), 1, v)]
+    elif kind == "exterior_enriched":
+        if k > 0:
+            letters = _listed_letters("left_enriched", k - 1) + [(str(-k), -1, k)]
+    else:
+        if kind == "left_enriched":
+            letters.append(("0", 1, 0))
+        for m in range(1, k + 1):
+            letters += [(str(-m), -1, m), (str(m), 1, m)]
+        if kind == "right_enriched":
+            letters.append((str(-(k + 1)), -1, k + 1))
+    return letters
+
+
+@pytest.mark.parametrize("kind", sorted(IMAGE_SET_KINDS))
+@pytest.mark.parametrize("k", range(7))
+def test_image_sets_list_their_letters(kind, k):
+    a = IMAGE_SET_KINDS[kind](k)
+    letters = _listed_letters(kind, k)
+    assert a.labels == tuple(label for label, _, _ in letters)
+    assert a.eps == tuple(flag for _, flag, _ in letters)
+    assert a.mags == tuple(mag for _, _, mag in letters)
+    assert a.arity == 1 + max(a.mags, default=0)
+    for exp, mag in zip(a.exps, a.mags, strict=True):
+        assert exp == tuple(int(i == mag) for i in range(a.arity))
+    assert a.signed == (kind in ("ordinaryB", "B_enriched"))
+    if a.signed:
+        half = a.size // 2
+        assert a.labels == (*(f"-{label}" for label in reversed(a.labels[half + 1:])), "0",
+                            *a.labels[half + 1:])
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet("bad", (1, 1), 1, ((0,), (0,)), ("a", "b"), signed=True)
@@ -119,6 +168,10 @@ def test_alphabet_validation():
         Alphabet("bad", (1, 1, -1), 1, ((0,),) * 3, ("a", "b", "c"), signed=True)
     with pytest.raises(ValueError):
         Alphabet("bad", (1,), 1, ((0,), (0,)), ("a",))
+    with pytest.raises(ValueError, match="exponent vector"):
+        Alphabet("bad", (1, 1), 2, ((0, 1, 0), (0, 0, 1)), ("a", "b"))
+    with pytest.raises(ValueError, match="disagree"):
+        Alphabet("bad", (1,), 2, ((0, 1),), ("a",), mags=(1, 2))
     with pytest.raises(ValueError):
         ImageSetSpec("no_such_kind", 1)
     with pytest.raises(ValueError):
