@@ -286,7 +286,7 @@ def basis_insert(row: dict, basis: dict) -> bool:
     if not row:
         return False
     pivot = min(row)
-    lead = row[pivot]
+    lead = Fraction(row[pivot])
     basis[pivot] = {p: c / lead for p, c in row.items()}
     return True
 

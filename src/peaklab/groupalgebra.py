@@ -66,7 +66,11 @@ class GAElem:
         for perm, c in (terms or {}).items():
             c = as_fraction(c)
             if c:
-                clean[validate_perm(perm, signed=self.group == "B")] = c
+                perm = validate_perm(perm, signed=self.group == "B")
+                # as in iterate_group, a negative n holds only the empty permutation
+                if len(perm) != max(n, 0):
+                    raise ValueError(f"{perm} is not an element of {self.group}_{n}")
+                clean[perm] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *_):
@@ -563,6 +567,8 @@ def minimal_non_algebra_n(family: str, n_max: int = 4) -> int | None:
 def refined_decomposition(n: int, which: str, force: bool = False) -> dict:
     """Finer class sums that split two number-indexed families at once,
     with the exact bookkeeping identities between the three bases."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     relations: dict[str, bool] = {}
     elements: dict[str, GAElem] = {}
     if which == "typeB_F":

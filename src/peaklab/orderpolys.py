@@ -44,28 +44,31 @@ _ONE_MINUS_T = UniPoly((1, -1))
 
 def class_gf(kind: str, n: int, params: tuple) -> RationalGF:
     """Closed-form generating function sum_k (enriched count at k) t^k, by
-    class parameters; all five enriched kinds."""
-    den = _ONE_MINUS_T ** (n + 1)
+    class parameters; all five enriched kinds.
+
+    Each is t^a (1+t)^b 2^c / (1-t)^(n+1).  For n >= 1 the classes of
+    S_n and B_n realize exactly the parameters that keep a, b and c
+    nonnegative, with a sign count of 0 or 1; any other parameters are
+    refused, and so is n = 0 where the interior and exterior forms fail.
+    """
+    sig = 0
     if kind == "enriched_interior":
         (pe,) = params
-        num = _T ** (pe + 1) * _ONE_PLUS_T ** (n - 1 - 2 * pe) * 2 ** (2 * pe + 1)
-    elif kind == "enriched_left":
-        (lpe,) = params
-        num = _T**lpe * _ONE_PLUS_T ** (n - 2 * lpe) * 2 ** (2 * lpe)
-    elif kind == "enriched_right":
-        (rpe,) = params
-        num = _T**rpe * _ONE_PLUS_T ** (n - 2 * rpe) * 2 ** (2 * rpe)
+        a, b, c = pe + 1, n - 1 - 2 * pe, 2 * pe + 1
+    elif kind in ("enriched_left", "enriched_right"):
+        (pk,) = params
+        a, b, c = pk, n - 2 * pk, 2 * pk
     elif kind == "enriched_exterior":
         (epe,) = params
-        num = _T**epe * _ONE_PLUS_T ** (n + 1 - 2 * epe) * 2 ** (2 * epe - 1)
+        a, b, c = epe, n + 1 - 2 * epe, 2 * epe - 1
     elif kind == "enriched_B":
         sig, pe = params
-        if n - 2 * pe - sig < 0:
-            raise ValueError(f"no element realizes {params} at n={n}")
-        num = _T ** (pe + sig) * _ONE_PLUS_T ** (n - 2 * pe - sig) * 2 ** (2 * pe + sig)
+        a, b, c = pe + sig, n - 2 * pe - sig, 2 * pe + sig
     else:
         raise ValueError(f"{kind!r} has no generating function")
-    return RationalGF(num, den)
+    if min(a, b, c) < 0 or sig not in (0, 1):
+        raise ValueError(f"no element realizes {params} at n={n}")
+    return RationalGF(_T**a * _ONE_PLUS_T**b * 2**c, _ONE_MINUS_T ** (n + 1))
 
 
 def _enriched_poly(pi, kind: str) -> UniPoly:

@@ -27,9 +27,12 @@ def validate_perm(values, signed: bool = False) -> Perm:
     """Check one-line notation and return it as a tuple.
 
     Unsigned: the entries must be exactly 1..n.  Signed: absolute values
-    must be exactly 1..n (each sign free).
+    must be exactly 1..n (each sign free).  Every entry must be an int
+    itself: a float, a string or a bool is refused, never coerced.
     """
-    p = tuple(int(v) for v in values)
+    p = tuple(values)
+    if any(type(v) is not int for v in p):
+        raise ValueError(f"permutation entries must be integers: {p}")
     n = len(p)
     if signed:
         if sorted(abs(v) for v in p) != list(range(1, n + 1)) or 0 in p:

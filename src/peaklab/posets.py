@@ -41,7 +41,7 @@ from collections.abc import Iterator, Sequence
 
 from .exact import MultiPoly
 from .limits import IMAGE_SET_MAX_K, LINEXT_MAX, POSET_ORACLE_MAX_N, check_limit, memo
-from .perms import Perm, iterate_group, validate_perm
+from .perms import Perm, validate_perm
 
 
 @dataclass(frozen=True)
@@ -324,26 +324,40 @@ def chain_weight_sum(
 
 class _Order:
     """A strict order on the labels lo..lo+len(lt)-1, stored transitively
-    closed as bit rows: lt[i] bit j set <=> label i+lo < label j+lo."""
+    closed as bit rows: lt[i] bit j set <=> label i+lo < label j+lo.  A
+    signed order also has rows for 0 and -n..-1, so B_0 reads as signed."""
 
-    __slots__ = ("n", "lt", "lo")
+    __slots__ = ("n", "lt", "lo", "signed")
 
     def __init__(self, n: int, lt: tuple[int, ...]):
         self.n = n
         self.lt = lt
-        self.lo = 1 if len(lt) == n else -n
+        self.signed = len(lt) != n
+        self.lo = -n if self.signed else 1
 
     @classmethod
-    def _closed(cls, n: int, lt: list[int]):
-        """Close the rows transitively (Warshall) and reject a cycle."""
-        for k in range(len(lt)):
-            row = lt[k]
+    def from_covers(cls, n: int, covers: Sequence[Sequence[int]]):
+        """The transitive closure of `covers`; a signed order adds each
+        cover's mirror (-b, -a) before closing.  A cycle is a ValueError."""
+        signed = issubclass(cls, BPoset)
+        lo = -n if signed else 1
+        lt = [0] * (n + 1 - lo)
+        for a, b in covers:
+            if not (lo <= a <= n and lo <= b <= n) or a == b:
+                raise ValueError(f"bad cover relation ({a},{b})")
+            lt[a - lo] |= 1 << (b - lo)
+            if signed:
+                lt[-b - lo] |= 1 << (-a - lo)
+        for k, row in enumerate(lt):  # Warshall
             for i in range(len(lt)):
                 if lt[i] >> k & 1:
                     lt[i] |= row
         if any(row >> i & 1 for i, row in enumerate(lt)):
             raise ValueError("relation has a cycle")
-        return cls(n, tuple(lt))
+        p = cls(n, tuple(lt))
+        if signed and not all(p.less(-b, -a) for a, b in p.relations()):
+            raise AssertionError("sign symmetry broken after closure")
+        return p
 
     def less(self, a: int, b: int) -> bool:
         return bool(self.lt[a - self.lo] >> (b - self.lo) & 1)
@@ -358,13 +372,50 @@ class _Order:
     def relation_count(self) -> int:
         return sum(m.bit_count() for m in self.lt)
 
-    def _total_order(self) -> list[int] | None:
-        """Every label bottom-up if this is a total order, else None."""
+    def chain_sequence(self) -> tuple[int, ...] | None:
+        """The labels 1..n bottom-up if this is a total order, else None; a
+        signed total order is symmetric about 0, so its top n labels."""
         size = len(self.lt)
         if self.relation_count() != size * (size - 1) // 2:
             return None
         labels = range(self.lo, self.lo + size)
-        return sorted(labels, key=lambda v: -self.lt[v - self.lo].bit_count())
+        order = sorted(labels, key=lambda v: -self.lt[v - self.lo].bit_count())
+        return tuple(order[size - self.n :])
+
+    def linear_extensions(self, force: bool = False) -> list[Perm]:
+        """All (signed) permutations pi, lexicographically, whose induced
+        total order refines this one.
+
+        pi induces pi(1) < ... < pi(n), and a signed pi induces
+        -pi(n) < ... < -pi(1) < 0 < pi(1) < ... < pi(n).  The backtracker
+        places pi(s) above, and -pi(s) below, every label placed so far,
+        so it may place v only while none of v's successors has a place.
+        """
+        if self.signed:
+            check_limit("signed linear extensions", self.n, LINEXT_MAX["B"], force)
+        else:
+            check_limit("linear extensions", self.n, LINEXT_MAX["A"], force)
+        lo, lt = self.lo, self.lt
+        candidates = []
+        for v in range(lo, lo + len(lt)):
+            bits = 1 << (v - lo) | (1 << (-v - lo) if self.signed else 0)
+            if v and not lt[v - lo] & bits:  # v < -v never places v
+                candidates.append((v, bits, bits | lt[v - lo]))
+        out: list[Perm] = []
+        seq: list[int] = []
+
+        def rec(placed: int):
+            if len(seq) == self.n:
+                out.append(tuple(seq))
+                return
+            for v, bits, blocked in candidates:
+                if not placed & blocked:
+                    seq.append(v)
+                    rec(placed | bits)
+                    seq.pop()
+
+        rec(1 << -lo if self.signed else 0)  # label 0 sits in the middle
+        return out
 
     def __repr__(self) -> str:
         rels = ", ".join(f"{a}<{b}" for a, b in self.relations())
@@ -376,49 +427,6 @@ class Poset(_Order):
 
     __slots__ = ()
 
-    @classmethod
-    def from_covers(cls, n: int, covers: Sequence[Sequence[int]]) -> "Poset":
-        lt = [0] * n
-        for a, b in covers:
-            if not (1 <= a <= n and 1 <= b <= n) or a == b:
-                raise ValueError(f"bad cover relation ({a},{b})")
-            lt[a - 1] |= 1 << (b - 1)
-        return cls._closed(n, lt)
-
-    def chain_sequence(self) -> tuple[int, ...] | None:
-        """The labels bottom-up if this is a total order, else None."""
-        order = self._total_order()
-        return None if order is None else tuple(order)
-
-    def linear_extensions(self, force: bool = False) -> list[Perm]:
-        """All pi with a <_P b implying a placed before b in pi.
-
-        The result lists one-line tuples: pi(s) is the label in position s.
-        """
-        check_limit("linear extensions", self.n, LINEXT_MAX["A"], force)
-        n = self.n
-        below = [0] * (n + 1)
-        for a, b in self.relations():
-            below[b] |= 1 << a
-        out: list[Perm] = []
-        seq: list[int] = []
-
-        def rec(used: int):
-            if len(seq) == n:
-                out.append(tuple(seq))
-                return
-            for v in range(1, n + 1):
-                if used >> v & 1:
-                    continue
-                if below[v] & ~used:
-                    continue
-                seq.append(v)
-                rec(used | (1 << v))
-                seq.pop()
-
-        rec(0)
-        return out
-
 
 class BPoset(_Order):
     """Strict partial order on {-n..n} with i <_P j forcing -j <_P -i.
@@ -428,42 +436,6 @@ class BPoset(_Order):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def from_covers(cls, n: int, covers: Sequence[Sequence[int]]) -> "BPoset":
-        lt = [0] * (2 * n + 1)
-        for a, b in covers:
-            if not (-n <= a <= n and -n <= b <= n) or a == b:
-                raise ValueError(f"bad cover relation ({a},{b})")
-            lt[a + n] |= 1 << (b + n)
-            lt[-b + n] |= 1 << (-a + n)
-        p = cls._closed(n, lt)
-        for a, b in p.relations():
-            if not p.less(-b, -a):
-                raise AssertionError("sign symmetry broken after closure")
-        return p
-
-    def chain_sequence(self) -> tuple[int, ...] | None:
-        """Labels above 0, bottom-up, if this is a total order on {-n..n}."""
-        order = self._total_order()
-        return None if order is None else tuple(order[order.index(0) + 1 :])
-
-    def linear_extensions(self, force: bool = False) -> list[Perm]:
-        """Signed permutations whose induced total order refines this one.
-
-        pi induces -pi(n) < ... < -pi(1) < 0 < pi(1) < ... < pi(n); the
-        extension test compares positions in that order.
-        """
-        check_limit("signed linear extensions", self.n, LINEXT_MAX["B"], force)
-        out = []
-        for pi in iterate_group("B", self.n, force=True):
-            pos = {0: 0}
-            for s, v in enumerate(pi, start=1):
-                pos[v] = s
-                pos[-v] = -s
-            if all(pos[a] < pos[b] for a, b in self.relations()):
-                out.append(pi)
-        return out
 
 
 def zigzag_poset(pi, positions, signed: bool | None = None):
@@ -475,28 +447,19 @@ def zigzag_poset(pi, positions, signed: bool | None = None):
     symmetry.  With signed=None the variant is inferred from the entries
     and from whether 0 is listed.
     """
-    pi = tuple(int(v) for v in pi)
-    ps = set(int(s) for s in positions)
+    ps = set(positions)
+    if any(type(s) is not int for s in ps):
+        raise ValueError(f"positions must be integers: {positions!r}")
+    # every permutation passes the signed check, so inference reads valid entries
+    pi = validate_perm(pi, signed=signed is not False)
     if signed is None:
-        signed = any(v < 0 for v in pi) or 0 in ps
-    n = len(pi)
-    validate_perm(pi, signed=signed)
-    if signed:
-        if not ps <= set(range(0, n)):
-            raise ValueError("positions must lie in 0..n-1")
-        seq = (0,) + pi
-        covers = []
-        for s in range(n):
-            a, b = seq[s], seq[s + 1]
-            covers.append((b, a) if s in ps else (a, b))
-        return BPoset.from_covers(n, covers)
-    if not ps <= set(range(1, n)):
-        raise ValueError("positions must lie in 1..n-1")
-    covers = []
-    for s in range(1, n):
-        a, b = pi[s - 1], pi[s]
-        covers.append((b, a) if s in ps else (a, b))
-    return Poset.from_covers(n, covers)
+        signed = 0 in ps or any(v < 0 for v in pi)
+    n, first = len(pi), 0 if signed else 1
+    if not ps <= set(range(first, n)):
+        raise ValueError(f"positions must lie in {first}..n-1")
+    seq = (0, *pi)
+    covers = [(seq[s + 1], seq[s]) if s in ps else (seq[s], seq[s + 1]) for s in range(first, n)]
+    return (BPoset if signed else Poset).from_covers(n, covers)
 
 
 def chain_poset(pi, signed: bool | None = None):
@@ -531,7 +494,7 @@ def _assignments(P: _Order, alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
     step = {0: -1}
     for s, v in enumerate(order):
         step[v] = step[-v] = s
-    signed = isinstance(P, BPoset)
+    signed = P.signed
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a, b in P.relations():
         if signed and (-b, -a) < (a, b):
@@ -569,13 +532,12 @@ def count_partitions(P, spec: ImageSetSpec, force: bool = False) -> int:
     """
     check_limit("partition oracle size", P.n, POSET_ORACLE_MAX_N, force)
     check_limit("partition oracle alphabet", spec.k, IMAGE_SET_MAX_K, force)
-    signed = isinstance(P, BPoset)
     alphabet = spec.alphabet()
-    if signed != alphabet.signed:
+    if P.signed != alphabet.signed:
         raise ValueError(f"{spec.kind} does not apply to {type(P).__name__}")
     seq = P.chain_sequence()
     if seq is not None:
-        return chain_weight_sum(alphabet, seq, anchored=signed, mode="count")
+        return chain_weight_sum(alphabet, seq, anchored=P.signed, mode="count")
     return sum(1 for _ in _assignments(P, alphabet))
 
 
@@ -589,7 +551,7 @@ def support_counts(P: Poset, spec: ImageSetSpec, force: bool = False) -> tuple[l
     """
     if spec.kind not in ("enriched", "left_enriched"):
         raise ValueError("support counting is defined for the enriched kinds")
-    if isinstance(P, BPoset):
+    if P.signed:
         raise ValueError(f"{spec.kind} does not apply to BPoset")
     if spec.k < P.n:
         raise ValueError("need k >= n so every support pattern can occur")
@@ -623,12 +585,11 @@ def partition_monomials(P, spec_or_alphabet, force: bool = False) -> MultiPoly:
     else:
         alphabet = spec_or_alphabet
     check_limit("partition oracle size", P.n, POSET_ORACLE_MAX_N, force)
-    signed = isinstance(P, BPoset)
-    if signed and not alphabet.signed:
+    if P.signed and not alphabet.signed:
         raise ValueError("signed poset needs a sign-symmetric alphabet")
     seq = P.chain_sequence()
     if seq is not None:
-        return chain_weight_sum(alphabet, seq, anchored=signed, mode="poly")
+        return chain_weight_sum(alphabet, seq, anchored=P.signed, mode="poly")
     out = MultiPoly.zero(alphabet.arity)
     for assign in _assignments(P, alphabet):
         exps = [0] * alphabet.arity

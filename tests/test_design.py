@@ -134,3 +134,11 @@ def test_no_module_imports_random():
                      if isinstance(node, ast.ImportFrom) and node.module and not node.level}
         for forbidden in ("random", "typing"):
             assert forbidden not in imported, (path.name, forbidden)
+
+
+def test_poset_classes_define_no_methods():
+    # the order logic lives once, in _Order; the subclasses only name the type
+    for cls in (posets.Poset, posets.BPoset):
+        own = [name for name, value in vars(cls).items()
+               if callable(value) or isinstance(value, (classmethod, staticmethod, property))]
+        assert own == [], cls

@@ -11,10 +11,12 @@ from peaklab.exact import (
     RationalGF,
     UniPoly,
     as_fraction,
+    basis_insert,
     binom_poly,
     format_rational,
     gf_coeffs,
     interpolate,
+    reduce_row,
 )
 
 coeff = st.integers(min_value=-9, max_value=9)
@@ -303,3 +305,15 @@ def test_fraction_formatting():
     assert as_fraction("7/3") == Fraction(7, 3)
     with pytest.raises((ValueError, TypeError)):
         as_fraction(0.25)
+
+
+def test_elimination_on_integer_rows_stays_exact():
+    basis: dict = {}
+    assert basis_insert({1: 2, 3: 3}, basis)
+    # the lead is divided out as a Fraction: 3 / 2 is not the float 1.5
+    assert basis == {1: {1: 1, 3: Fraction(3, 2)}}
+    assert all(type(c) is Fraction for row in basis.values() for c in row.values())
+    assert basis_insert({1: 1, 2: 1}, basis)
+    assert all(type(c) is Fraction for row in basis.values() for c in row.values())
+    left = reduce_row({1: 1}, basis)
+    assert left == {3: Fraction(-3, 2)} and type(left[3]) is Fraction

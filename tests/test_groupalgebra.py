@@ -70,6 +70,16 @@ def test_gaelem_basics():
     assert 2 * e == e.scale(2)
 
 
+def test_gaelem_refuses_a_permutation_of_another_size():
+    # (1, 2) in "S_3" used to serialize as n = 3 and fail later in compose
+    with pytest.raises(ValueError, match="not an element of S_3"):
+        GAElem("S", 3, {(1, 2): 1})
+    with pytest.raises(ValueError):
+        GAElem("B", 2, {(-1, 2, 3): 1})
+    with pytest.raises(ValueError):
+        GAElem.from_json({"n": 3, "group": "S", "terms": [{"perm": [1, 2], "coeff": "1"}]})
+
+
 def test_gapoly_basics():
     zero = GAElem.zero("S", 2)
     one = GAElem.basis("S", (1, 2))
@@ -285,6 +295,13 @@ def test_refined_decomposition_relations():
         assert len(out["elements"]) == 2 * n
     with pytest.raises(ValueError):
         refined_decomposition(3, "typeC_F")
+
+
+@pytest.mark.parametrize("which", ["typeA_F", "typeB_F"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_refined_decomposition_refuses_n_below_one(which, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        refined_decomposition(n, which)
 
 
 def test_cyclic_isomorphism():

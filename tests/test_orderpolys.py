@@ -1,6 +1,7 @@
 """Order polynomials against the enumeration oracle, reciprocity, and the
 Eulerian-to-peak identities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,43 @@ def test_class_gf_errors():
         class_gf("A_ordinary", 3, (1,))
     with pytest.raises(ValueError):
         class_gf("enriched_B", 2, (1, 1))  # sign 1 + 2 peaks needs n >= 3
+    with pytest.raises(ValueError):
+        order_polynomial([1.2, 2.9], "A_ordinary")  # not read as (1, 2)
+
+
+@pytest.mark.parametrize("kind, n, params", [
+    ("enriched_interior", 3, (-1,)),  # used to compute 2 ** -1 as a float
+    ("enriched_interior", 3, (2,)),
+    ("enriched_interior", 0, (0,)),
+    ("enriched_left", 3, (-1,)),
+    ("enriched_left", 3, (2,)),
+    ("enriched_right", 3, (2,)),
+    ("enriched_exterior", 3, (0,)),
+    ("enriched_exterior", 0, (0,)),
+    ("enriched_B", 3, (2, 0)),  # a sign count is 0 or 1
+    ("enriched_B", 3, (-1, 1)),
+    ("enriched_B", 3, (0, -1)),
+    ("enriched_left", -2, (0,)),
+])
+def test_class_gf_refuses_unrealized_parameters(kind, n, params):
+    with pytest.raises(ValueError, match="no element realizes"):
+        class_gf(kind, n, params)
+
+
+@pytest.mark.parametrize("kind", [k for k in ORDER_POLY_KINDS if k.startswith("enriched")])
+def test_class_gf_accepts_exactly_the_realized_classes(kind):
+    group, _, stat = ORDER_POLY_KINDS[kind]
+    for n in range(1, 6 if group == "S" else 5):
+        realized = {stat(p) for p in (symmetric_group if group == "S" else hyperoctahedral_group)(n)}
+        grid = set(itertools.product(range(-2, n + 3), repeat=len(next(iter(realized)))))
+        accepted = set()
+        for params in grid:
+            try:
+                class_gf(kind, n, params)
+            except ValueError:
+                continue
+            accepted.add(params)
+        assert accepted == realized, (kind, n)
 
 
 def test_reciprocity():

@@ -57,6 +57,14 @@ def test_validate_rejects_garbage():
     assert validate_perm([-1, 2], signed=True) == (-1, 2)
 
 
+@pytest.mark.parametrize("values", [[1.9, 2], [1.0, 2], ["2", "1"], [True, 2], [1, 2.0]])
+@pytest.mark.parametrize("signed", [False, True])
+def test_validate_refuses_non_int_entries(values, signed):
+    # nothing is coerced: [1.9, 2] used to come back as (1, 2)
+    with pytest.raises(ValueError):
+        validate_perm(values, signed=signed)
+
+
 def test_pinned_statistics():
     assert descent_stat([2, 1, 4, 3, 5], "linear").positions == (1, 3)
     assert descent_stat([1, 4, 3, 2], "cyclic").positions == (2, 3, 4)

@@ -450,8 +450,13 @@ def test_bposet_sign_symmetry():
     assert bp.less(-2, -1)
     exts = BPoset.from_covers(2, []).linear_extensions()
     assert len(exts) == 8
-    # 1 < -1 is its own mirror image and entirely legal
+    # 1 < -1 is its own mirror image and entirely legal; it puts -1 above
+    # 0, so pi(1) = 1 never extends it
     assert BPoset.from_covers(1, [(1, -1)]).less(1, -1)
+    assert BPoset.from_covers(1, [(1, -1)]).linear_extensions() == [(-1,)]
+    # the sign is read off the rows: B_0 has the one label 0
+    assert BPoset.from_covers(0, []).signed and not Poset.from_covers(0, []).signed
+    assert BPoset.from_covers(0, []).linear_extensions() == [()]
     with pytest.raises(ValueError):
         BPoset.from_covers(2, [(1, 2), (2, 1)])
 
@@ -473,6 +478,47 @@ def test_zigzag_poset():
         zigzag_poset((1, 2), (0,), signed=False)
     with pytest.raises(ValueError):
         zigzag_poset((1, 2), (2,))
+    # entries are never coerced to int
+    for pi, positions in (((1.0, 2), ()), (("1", "2"), ()), ((True, 2), ()),
+                          ((1, 2), (1.0,)), ((1, 2), ("1",)), ((-1, 2), (False,))):
+        with pytest.raises(ValueError):
+            zigzag_poset(pi, positions)
+
+
+def _extension_corpus():
+    """Seeded posets at S n = 0..6 and B n = 0..4: the antichain, the chain
+    and random cover sets at every n (a signed cover set can close a cycle
+    through its mirrors; those are dropped)."""
+    rng = random.Random(2021)
+    out = []
+    for cls, top in ((Poset, 6), (BPoset, 4)):
+        for n in range(top + 1):
+            lo = -n if cls is BPoset else 1
+            out.append(cls.from_covers(n, []))
+            out.append(cls.from_covers(n, [(i, i + 1) for i in range(max(lo, 0), n)]))
+            for _ in range(6):
+                labels = rng.sample(range(lo, n + 1), n + 1 - lo)
+                density = rng.choice((0.1, 0.3, 0.6))
+                covers = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                          if rng.random() < density]
+                try:
+                    out.append(cls.from_covers(n, covers))
+                except ValueError:
+                    pass
+    return out
+
+
+@pytest.mark.parametrize("P", _extension_corpus())
+def test_linear_extensions_are_the_lexicographic_filter_of_the_group(P):
+    # pi places pi(s) at s and, signed, -pi(s) at -s around 0 at 0
+    want = []
+    for pi in iterate_group("B" if isinstance(P, BPoset) else "S", P.n):
+        pos = {0: 0}
+        for s, v in enumerate(pi, start=1):
+            pos[v], pos[-v] = s, -s
+        if all(pos[a] < pos[b] for a, b in P.relations()):
+            want.append(pi)
+    assert P.linear_extensions() == want
 
 
 # --- counting -----------------------------------------------------------------
