@@ -43,7 +43,7 @@ from .orderpolys import (
     peak_polynomial,
 )
 from .perms import descent_stat, peak_stat, signed_stat, validate_perm
-from .qsym import delta_expansion
+from .qsym import _FLAVORS, delta_expansion
 
 
 def _parse_perm(text: str) -> list[int]:
@@ -54,10 +54,6 @@ def _parse_perm(text: str) -> list[int]:
         vals = json.loads(t)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"cannot parse permutation {text!r}: {exc}") from None
-    if not isinstance(vals, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in vals
-    ):
-        raise ValueError("permutation must be a list of integers")
     return vals
 
 
@@ -253,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qsub = p.add_subparsers(dest="qsym_command", required=True)
     q = qsub.add_parser("expand", help="basis expansion of one enriched enumerator")
     q.add_argument("perm")
-    q.add_argument("--flavor", required=True, choices=("interior", "left", "B"))
+    q.add_argument("--flavor", required=True, choices=tuple(_FLAVORS))
     q.add_argument("--basis", default="monomial", choices=("monomial", "fundamental"))
     q.set_defaults(handler=_cmd_qsym_expand)
 

@@ -449,6 +449,7 @@ def span_rank(elems: list[GAElem]) -> int:
 def in_span(e: GAElem, elems: list[GAElem]) -> bool:
     basis: dict = {}
     for b in elems:
+        e._check(b)
         basis_insert(b.terms, basis)
     return not reduce_row(e.terms, basis)
 

@@ -7,9 +7,9 @@ z_0 and are indexed by subsets of [0, n-1]: the bases N and L.  The weight
 enumerator of a permutation chain over an enriched image set expands in
 each of these with explicit powers of two, and collecting expansions by
 peak data yields the K-functions, whose coordinate matrices have Fibonacci
-rank.  Everything is finite and exact: expansions are sparse Fraction
-maps, and realizations truncate to a chosen number of variables so that
-identities can be compared as honest polynomials.
+rank.  Everything is finite and exact: expansions are sparse maps to ints
+and Fractions, and realizations truncate to a chosen number of variables
+so that identities can be compared as honest polynomials.
 
 The bipartite checks compare a chain enumerator over a product alphabet
 with the convolution of single-alphabet enumerators over all two-factor
@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import groupalgebra
-from .exact import MultiPoly, as_fraction, basis_insert, format_rational
+from .exact import MultiPoly, _coefficient, basis_insert, format_rational
 from .limits import (
     BIPARTITE_MAX_N,
     BIPARTITE_MAX_VARS,
@@ -100,20 +100,22 @@ def fibonacci(k: int) -> int:
     return a
 
 
-def interior_peak_sets(n: int) -> list[int]:
-    """Masks of non-adjacent subsets of [2, n-1], ascending."""
+def _non_adjacent(n: int, low: int) -> list[int]:
+    """Masks of the non-adjacent subsets of [low, n-1], ascending."""
     if n < 1:
         raise ValueError("n must be positive")
-    universe = ((1 << n) - 1) & ~0b11 if n >= 3 else 0
+    universe = ((1 << n) - 1) >> low << low
     return sorted(s for s in _submasks(universe) if not s & s << 1)
+
+
+def interior_peak_sets(n: int) -> list[int]:
+    """Masks of non-adjacent subsets of [2, n-1], ascending."""
+    return _non_adjacent(n, 2)
 
 
 def b_peak_sets(n: int) -> list[int]:
     """Masks of non-adjacent subsets of [1, n-1], ascending."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    universe = (1 << n) - 2
-    return sorted(s for s in _submasks(universe) if not s & s << 1)
+    return _non_adjacent(n, 1)
 
 
 @dataclass(frozen=True)
@@ -163,20 +165,27 @@ def sign_peak_sets(n: int) -> list[SignPeakSet]:
 
 # --- expansions ----------------------------------------------------------------
 
-_BASES = ("M", "F", "N", "L", "K_A", "K_B")
+# flavor -> (signed, peak statistic, monomial basis, fundamental basis,
+# K-function index sets, Fibonacci shift of their count, image-set
+# alphabet).  Signed flavors anchor their chains at zero.
+_FLAVORS = {
+    "interior": (False, "peak_interior", "M", "F", interior_peak_sets, -1, enriched_alphabet),
+    "left": (False, "peak_left", "N", "L", b_peak_sets, 0, left_enriched_alphabet),
+    "B": (True, "B_peak", "N", "L", sign_peak_sets, 1, b_enriched_alphabet),
+}
+
+# K-function basis -> the flavor whose index sets index it
+_K_FLAVOR = {"K_A": "interior", "K_B": "B"}
 
 
 def _index_ok(n: int, basis: str, idx) -> bool:
-    if basis in ("M", "F"):
-        return isinstance(idx, int) and idx >= 0 and not idx & ~((1 << n) - 2)
-    if basis in ("N", "L"):
-        return isinstance(idx, int) and idx >= 0 and not idx & ~((1 << n) - 1)
-    if basis == "K_A":
-        if not isinstance(idx, int) or idx < 0 or idx & idx << 1:
-            return False
-        universe = ((1 << n) - 1) & ~0b11 if n >= 3 else 0
-        return not idx & ~universe
-    return isinstance(idx, SignPeakSet) and not idx.mask & ~((1 << n) - 2)
+    """idx indexes basis at degree n; a flavor name stands for its K-functions."""
+    flavor = _K_FLAVOR.get(basis, basis)
+    if flavor in _FLAVORS:
+        sets = _FLAVORS[flavor][4](n)
+        return type(idx) is type(sets[0]) and idx in sets
+    universe = (1 << n) - (2 if basis in ("M", "F") else 1)
+    return type(idx) is int and idx >= 0 and not idx & ~universe
 
 
 class QsymExpansion:
@@ -190,13 +199,13 @@ class QsymExpansion:
     __slots__ = ("n", "basis", "coeffs")
 
     def __init__(self, n: int, basis: str, coeffs: dict):
-        if basis not in _BASES:
+        if basis not in ("M", "F", "N", "L", *_K_FLAVOR):
             raise ValueError(f"unknown basis {basis!r}")
         if n < 1:
             raise ValueError("degree must be positive")
         clean = {}
         for idx, c in coeffs.items():
-            c = as_fraction(c)
+            c = _coefficient(c)
             if not c:
                 continue
             if not _index_ok(n, basis, idx):
@@ -207,7 +216,7 @@ class QsymExpansion:
         self.coeffs = clean
 
     def coeff(self, idx) -> Fraction:
-        return self.coeffs.get(idx, Fraction(0))
+        return Fraction(self.coeffs.get(idx, 0))
 
     def _key(self, idx):
         if self.basis == "K_B":
@@ -255,15 +264,6 @@ class QsymExpansion:
         return cls(data["n"], data["basis"], coeffs)
 
 
-# flavor -> (signed, peak statistic, monomial basis, fundamental basis,
-# image-set alphabet).  Signed flavors anchor their chains at zero.
-_FLAVORS = {
-    "interior": (False, "peak_interior", "M", "F", enriched_alphabet),
-    "left": (False, "peak_left", "N", "L", left_enriched_alphabet),
-    "B": (True, "B_peak", "N", "L", b_enriched_alphabet),
-}
-
-
 def _expand(n: int, basis: str, peaks: int, sign: int) -> QsymExpansion:
     """The expansion fixed by a peak set and a sign bit, in M or N
     (monomial) or F or L (fundamental) coordinates.
@@ -308,7 +308,7 @@ def delta_expansion(pi, flavor: str, basis: str = "monomial") -> QsymExpansion:
         raise ValueError(f"unknown basis {basis!r}")
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    signed, stat, monomial, fundamental, _ = _FLAVORS[flavor]
+    signed, stat, monomial, fundamental, *_ = _FLAVORS[flavor]
     p = validate_perm(pi, signed=signed)
     sign = STATISTICS["B_sign"](p) if signed else 0
     target = monomial if basis == "monomial" else fundamental
@@ -321,21 +321,15 @@ def peak_function(n: int, index, family: str = "interior") -> QsymExpansion:
     index is a peak-set mask for the interior and left families and a
     SignPeakSet (or (sign, mask) pair) for the B family.
     """
-    if family == "interior":
-        if index not in interior_peak_sets(n):
-            raise ValueError(f"{index!r} is not an interior peak set mask at n={n}")
-        return _expand(n, "F", index, 0)
-    if family == "left":
-        if index not in b_peak_sets(n):
-            raise ValueError(f"{index!r} is not a left peak set mask at n={n}")
-        return _expand(n, "L", index, 0)
-    if family == "B":
-        if isinstance(index, tuple) and not isinstance(index, SignPeakSet):
-            index = SignPeakSet.from_mask(index[0], index[1])
-        if index.mask not in b_peak_sets(n):
-            raise ValueError(f"{index!r} is out of range at n={n}")
-        return _expand(n, "L", index.mask, index.sign)
-    raise ValueError(f"unknown K-function family {family!r}")
+    if family not in _FLAVORS:
+        raise ValueError(f"unknown K-function family {family!r}")
+    signed, _, _, fundamental, *_ = _FLAVORS[family]
+    if signed and isinstance(index, tuple):
+        index = SignPeakSet.from_mask(index[0], index[1])
+    if not _index_ok(n, family, index):
+        raise ValueError(f"{index!r} indexes no {family} K-function at n={n}")
+    sign, mask = (index.sign, index.mask) if signed else (0, index)
+    return _expand(n, fundamental, mask, sign)
 
 
 # --- truncated realizations ------------------------------------------------------
@@ -367,8 +361,12 @@ def realize_basis(n: int, basis: str, index, m: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("degree must be positive")
+    if m < 1:
+        raise ValueError("need at least one variable")
 
     def build() -> MultiPoly:
+        if not _index_ok(n, basis, index):
+            raise ValueError(f"index {index!r} is not valid for basis {basis} at n={n}")
         if basis in ("M", "N"):
             return _realize_monomial(n, index, m, signed=basis == "N")
         if basis in ("F", "L"):
@@ -378,8 +376,8 @@ def realize_basis(n: int, basis: str, index, m: int) -> MultiPoly:
             for extra in _submasks(universe & ~index):
                 out = out + _realize_monomial(n, index | extra, m, signed)
             return out
-        if basis in ("K_A", "K_B"):
-            spread = peak_function(n, index, "interior" if basis == "K_A" else "B")
+        if basis in _K_FLAVOR:
+            spread = peak_function(n, index, _K_FLAVOR[basis])
             out = MultiPoly.zero(m + 1)
             for idx, c in spread.coeffs.items():
                 out = out + realize_basis(n, spread.basis, idx, m) * c
@@ -412,7 +410,7 @@ def truncated_enumerator(pi, flavor: str, m: int, force: bool = False) -> MultiP
     if m < 1:
         raise ValueError("need at least one variable")
     check_limit("variable truncation", m, IMAGE_SET_MAX_K, force)
-    signed, _, _, _, alphabet = _FLAVORS[flavor]
+    signed, *_, alphabet = _FLAVORS[flavor]
     p = validate_perm(pi, signed=signed)
     return chain_weight_sum(shared_alphabet(alphabet, m), p, anchored=signed, mode="poly")
 
@@ -427,14 +425,9 @@ def peak_basis_rank(n: int, family: str = "interior", force: bool = False) -> in
     index sets raises AssertionError, so the return value is also that count.
     """
     check_limit("peak basis rank", n, PEAK_RANK_MAX_N, force)
-    if family == "interior":
-        rows = [peak_function(n, s, "interior") for s in interior_peak_sets(n)]
-    elif family == "left":
-        rows = [peak_function(n, s, "left") for s in b_peak_sets(n)]
-    elif family == "B":
-        rows = [peak_function(n, sp, "B") for sp in sign_peak_sets(n)]
-    else:
+    if family not in _FLAVORS:
         raise ValueError(f"unknown K-function family {family!r}")
+    rows = [peak_function(n, s, family) for s in _FLAVORS[family][4](n)]
     basis: dict = {}
     rank = sum(basis_insert(r.coeffs, basis) for r in rows)
     if rank != len(rows):
@@ -615,9 +608,6 @@ _GF_FLAVORS = {
     "gf_interiordescent": "interiordescent_mixed",
 }
 
-_RANK_SHIFT = {"fib_rank_interior": ("interior", -1), "fib_rank_left": ("left", 0),
-               "fib_rank_B": ("B", 1)}
-
 
 def _expansion_sweep(which: str, n: int, force: bool) -> dict:
     """Each element's truncated_enumerator at m = 1, 2, 3 against its
@@ -680,10 +670,10 @@ def verify_hook(check: str, n: int, force: bool = False) -> dict:
         return _expansion_sweep(check, n, force)
     if check in _GF_FLAVORS:
         return _bipartite_sweep(_GF_FLAVORS[check], n, force)
-    if check in _RANK_SHIFT:
-        family, shift = _RANK_SHIFT[check]
+    family = check.removeprefix("fib_rank_")
+    if family != check and family in _FLAVORS:
         rank = peak_basis_rank(n, family, force)
-        want = fibonacci(n + shift)
+        want = fibonacci(n + _FLAVORS[family][5])
         if rank != want:
             return {"ok": False,
                     "counterexample": (family, str(rank), f"fibonacci {want}")}

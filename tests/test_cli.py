@@ -289,6 +289,21 @@ def test_deeply_nested_permutation_text_exits_2(capsys):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("perm", ["[1.5,2]", "[true,1]", '["1"]', "[[1]]", "[null]", "[1e400]"])
+@pytest.mark.parametrize("command", [["stats"], ["stats", "--signed"],
+                                     ["order-poly", "--kind", "A_ordinary"],
+                                     ["order-poly", "--kind", "A_ordinary", "--gf"],
+                                     ["qsym", "expand"]])
+def test_non_integer_permutation_entries_exit_2(capsys, command, perm):
+    # the library refuses the entries; the CLI only parses the JSON text
+    argv = [*command, perm]
+    if command[0] == "qsym":
+        argv += ["--flavor", "interior"]
+    code, payload, err = run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith("error: permutation entries must be integers") and err.count("\n") == 1
+
+
 def test_closed_stdout_keeps_the_exit_code():
     read, write = os.pipe()
     os.close(read)

@@ -1,5 +1,6 @@
 """Design guards that keep the package to one home per decision."""
 
+import argparse
 import ast
 import json
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import peaklab
-from peaklab import groupalgebra, limits, orderpolys, posets, qsym
+from peaklab import cli, groupalgebra, limits, orderpolys, perms, posets, qsym
 from peaklab.exact import UniPoly
 
 # Imports every peaklab module, records the size of each module-level
@@ -95,6 +96,53 @@ def test_poly_chain_sum_builds_no_fraction(monkeypatch):
     assert made == 0 and all(polys)
     polys[0].eval_all_ones()
     assert made > 0  # the counter sees a Fraction when one is made
+
+
+def test_delta_expansion_builds_no_fraction(monkeypatch):
+    made = 0
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for flavor, (signed, *_) in qsym._FLAVORS.items():
+        for n in range(1, 5):
+            for pi in perms.iterate_group("B" if signed else "S", n):
+                for basis in ("monomial", "fundamental"):
+                    # every coefficient is a power of two, held as an int
+                    spread = qsym.delta_expansion(pi, flavor, basis)
+                    assert spread.coeffs and made == 0, (flavor, pi, basis)
+    spread.coeff(0)
+    assert made == 1  # the counter sees a Fraction when one is made
+
+
+def _subcommand(parser, name):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
+def test_one_list_of_peak_flavors():
+    flavors = list(qsym._FLAVORS)
+    assert sorted(flavors) == ["B", "interior", "left"]
+    ranks = [tid.removeprefix("fib_rank_") for tid in groupalgebra.THEOREMS
+             if tid.startswith("fib_rank_")]
+    expand = _subcommand(_subcommand(cli._build_parser(), "qsym"), "expand")
+    choices = next(a.choices for a in expand._actions if a.dest == "flavor")
+    # the families the K-function entry points accept, out of every name in play
+    names = {*flavors, *groupalgebra.CLASS_FAMILIES, *qsym._BIPARTITE, "right", "exterior"}
+    accepted = []
+    for name in sorted(names):
+        try:
+            qsym.peak_function(3, qsym._FLAVORS[name][4](3)[0] if name in flavors else 0, name)
+            qsym.peak_basis_rank(3, name)
+        except ValueError as exc:
+            assert "unknown K-function family" in str(exc), name
+            continue
+        accepted.append(name)
+    assert sorted(ranks) == sorted(choices) == accepted == sorted(flavors)
 
 
 def test_section_43_identities_build_no_fraction(monkeypatch):

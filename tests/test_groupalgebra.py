@@ -208,6 +208,16 @@ def test_span_rank_and_in_span():
     assert not in_span(class_sum(3, "descent_num", 1), [e])
 
 
+def test_in_span_refuses_mixed_algebras():
+    s2, s3 = class_sum(2, "descent_num", 0), class_sum(3, "descent_num", 0)
+    with pytest.raises(ValueError, match="mixed group algebras"):
+        span_rank([s3, s2])
+    with pytest.raises(ValueError, match="mixed group algebras"):
+        in_span(s2, [s3])
+    with pytest.raises(ValueError, match="mixed group algebras"):
+        in_span(s3, [class_sum(3, "B_descent_num", 0)])
+
+
 def test_interior_peak_span_is_ideal_in_refined_span():
     for n in (3, 4):
         peak_basis = [class_sum(n, "peak_interior_num", i)

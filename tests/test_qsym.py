@@ -205,6 +205,72 @@ def test_peak_function_indexing():
         peak_function(2, 0, "right")
 
 
+@pytest.mark.parametrize("family, wrong", [
+    ("interior", SignPeakSet(0, ())), ("interior", 4.0), ("interior", False), ("interior", "4"),
+    ("left", SignPeakSet(0, ())), ("left", 2.0), ("left", None), ("left", (0, 2)),
+    ("B", 0), ("B", 2), ("B", None), ("B", "0"),
+])
+def test_peak_function_refuses_an_index_of_the_wrong_type(family, wrong):
+    with pytest.raises(ValueError):
+        peak_function(4, wrong, family)
+
+
+def _candidates(n: int, basis: str):
+    """Every int below 2^(n+1), and for K_B every SignPeakSet on such a mask."""
+    if basis != "K_B":
+        return range(1 << n + 1)
+    out = []
+    for mask in range(0, 1 << n + 1, 2):
+        for sign in (0, 1):
+            try:
+                out.append(SignPeakSet.from_mask(sign, mask))
+            except ValueError:  # adjacent peaks, or a peak at 1 after a negative start
+                pass
+    return out
+
+
+_K_BASES = {"K_A": "interior", "K_B": "B"}
+
+
+def test_every_entry_point_refuses_the_same_indices():
+    for n in range(1, 7):
+        for basis in ("M", "F", "N", "L", "K_A", "K_B"):
+            for idx in _candidates(n, basis):
+                calls = [lambda: QsymExpansion(n, basis, {idx: 1}),
+                         lambda: realize_basis(n, basis, idx, 2)]
+                if basis in _K_BASES:
+                    calls.append(lambda: peak_function(n, idx, _K_BASES[basis]))
+                refused = []
+                for call in calls:
+                    try:
+                        call()
+                        refused.append(False)
+                    except ValueError:
+                        refused.append(True)
+                assert len(set(refused)) == 1, (n, basis, idx, refused)
+                if basis in _K_BASES and not refused[0]:
+                    spread = peak_function(n, idx, _K_BASES[basis])
+                    assert realize_basis(n, basis, idx, 2) == truncate_realize(spread, 2)
+
+
+def test_realize_basis_needs_a_variable():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            realize_basis(3, "F", 0, m)
+
+
+def test_expansions_hold_integer_coefficients():
+    e = delta_expansion((2, 1, 3), "interior", "fundamental")
+    assert all(type(c) is int for c in e.coeffs.values())
+    assert e.coeff(0b10) == Fraction(2) and type(e.coeff(0b10)) is Fraction
+    assert e.coeff(0b1000) == 0 and type(e.coeff(0b1000)) is Fraction
+    half = QsymExpansion(2, "N", {0: Fraction(1, 2), 1: Fraction(4, 2), 2: "3"})
+    assert half.coeffs == {0: Fraction(1, 2), 1: 2, 2: 3}
+    assert [type(c) for c in half.coeffs.values()] == [Fraction, int, int]
+    with pytest.raises(TypeError):
+        QsymExpansion(2, "N", {0: 0.5})
+
+
 def test_peak_basis_rank_guards():
     assert peak_basis_rank(4, "interior") == fibonacci(3)
     assert peak_basis_rank(4, "left") == fibonacci(4)
@@ -218,8 +284,9 @@ def test_peak_basis_rank_guards():
 def test_peak_basis_rank_shortfall_raises(monkeypatch):
     # a repeated index set makes the rows dependent; the check must raise
     # even under python -O, so it is not an assert statement
-    sets = qsym.interior_peak_sets
-    monkeypatch.setattr(qsym, "interior_peak_sets", lambda n: sets(n) + sets(n)[-1:])
+    *head, sets, shift, alphabet = qsym._FLAVORS["interior"]
+    monkeypatch.setitem(qsym._FLAVORS, "interior",
+                        (*head, lambda n: sets(n) + sets(n)[-1:], shift, alphabet))
     with pytest.raises(AssertionError, match="rank 5, not 6"):
         peak_basis_rank(5, "interior")
 
