@@ -260,7 +260,7 @@ def interpolate(points: Sequence[tuple]) -> UniPoly:
 
 
 def reduce_row(row: dict, basis: dict) -> dict:
-    """What is left of a sparse row (key -> Fraction) after elimination
+    """What is left of a sparse row (key -> int or Fraction) after elimination
     against an echelon basis (pivot key -> row with 1 at the pivot, which
     is the row's smallest key).  The input row is not modified."""
     row = dict(row)
@@ -281,13 +281,18 @@ def reduce_row(row: dict, basis: dict) -> dict:
 
 def basis_insert(row: dict, basis: dict) -> bool:
     """Add a sparse row to an echelon basis unless it lies in the span
-    already; True when the basis grew."""
+    already; True when the basis grew.  The stored row is divided by its
+    lead and holds each integral coefficient as an int, so rows of integers
+    with lead 1 eliminate in integers."""
     row = reduce_row(row, basis)
     if not row:
         return False
     pivot = min(row)
-    lead = Fraction(row[pivot])
-    basis[pivot] = {p: c / lead for p, c in row.items()}
+    lead = row[pivot]
+    if lead != 1:
+        lead = Fraction(lead)
+        row = {p: c / lead for p, c in row.items()}
+    basis[pivot] = _normal_terms(row)
     return True
 
 

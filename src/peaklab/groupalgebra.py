@@ -15,9 +15,13 @@ then counted once per descent class, 2^(n-1) rows for S_n and 2^n for B_n.
 Each class family is partitioned once per n, in one class table (see
 _class_table) that labels, class sums, polynomials and tensors all read.
 
-Element products (ga_multiply) convolve in integers: each operand is
-cleared to one common denominator, and only the result's terms are built
-as Fractions.
+Elements hold each integral coefficient as an int and a Fraction only
+otherwise.  Products (ga_multiply) convolve in integers: each operand is
+cleared to one common denominator, and only non-integral result terms
+become Fractions.  A right operand covering at least half of a group
+within the verify guard is read through the cached index tables of
+_group_index, with no product formed per term pair; any other product,
+such as one of sparse class sums, composes pair by pair.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from itertools import chain, permutations, product
 from math import factorial, lcm
 from operator import add, mul
 
-from .exact import UniPoly, as_fraction, basis_insert, format_rational, interpolate, reduce_row
+from .exact import (UniPoly, _coefficient, _normal_terms, basis_insert, format_rational,
+                    interpolate, reduce_row)
 from .limits import VERIFY_MAX, ResourceLimitError, check_limit, memo
 from .orderpolys import (
     _ENRICHED_KINDS,
@@ -64,7 +69,7 @@ class GAElem:
         object.__setattr__(self, "n", n)
         clean: dict = {}
         for perm, c in (terms or {}).items():
-            c = as_fraction(c)
+            c = _coefficient(c)
             if c:
                 perm = validate_perm(perm, signed=self.group == "B")
                 # as in iterate_group, a negative n holds only the empty permutation
@@ -72,6 +77,16 @@ class GAElem:
                     raise ValueError(f"{perm} is not an element of {self.group}_{n}")
                 clean[perm] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, group: str, n: int, terms: dict) -> "GAElem":
+        """Wrap terms that are already in normal form (elements of the
+        algebra as keys, nonzero coefficients in normal form), unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "group", group)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("GAElem is immutable")
@@ -82,7 +97,7 @@ class GAElem:
 
     @classmethod
     def basis(cls, group: str, perm) -> "GAElem":
-        return cls(group, len(perm), {tuple(perm): Fraction(1)})
+        return cls(group, len(perm), {tuple(perm): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -96,17 +111,18 @@ class GAElem:
         out = dict(self.terms)
         for p, c in other.terms.items():
             out[p] = out.get(p, 0) + c
-        return GAElem(self.group, self.n, out)
+        return GAElem._trusted(self.group, self.n, _normal_terms(out))
 
     def __neg__(self) -> "GAElem":
-        return GAElem(self.group, self.n, {p: -c for p, c in self.terms.items()})
+        return GAElem._trusted(self.group, self.n, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other: "GAElem") -> "GAElem":
         return self + (-other)
 
     def scale(self, c) -> "GAElem":
-        c = as_fraction(c)
-        return GAElem(self.group, self.n, {p: c * v for p, v in self.terms.items()})
+        c = _coefficient(c)
+        return GAElem._trusted(self.group, self.n,
+                               _normal_terms({p: c * v for p, v in self.terms.items()}))
 
     def __mul__(self, other):
         if isinstance(other, GAElem):
@@ -126,7 +142,7 @@ class GAElem:
     __hash__ = None
 
     def coeff(self, perm) -> Fraction:
-        return self.terms.get(tuple(perm), Fraction(0))
+        return Fraction(self.terms.get(tuple(perm), 0))
 
     def support_size(self) -> int:
         return len(self.terms)
@@ -160,20 +176,62 @@ def _integral(terms: dict) -> tuple[int, list]:
     return d, [(p, c.numerator * (d // c.denominator)) for p, c in terms.items()]
 
 
+def _order(group: str, n: int) -> int:
+    """|S_n| or |B_n|, with no enumeration; S_n at n <= 0 is the one empty
+    permutation."""
+    m = max(n, 0)
+    return factorial(m) << m if group == "B" else factorial(m)
+
+
+# The dense path pays one C-level pass over the group per left term, the
+# pairwise one a compose per term pair.  Timed with right operands covering
+# 1/8 to all of the group, the two cross at about half of S_5 and B_3 (the
+# benchmarked sizes), nearer a third of S_6 and B_4 and two thirds of S_4:
+# the dense path runs when 2 |b| >= |G|.
+_DENSE_SHARE = 2
+
+
 def ga_multiply(a: GAElem, b: GAElem) -> GAElem:
     """Convolution: (ab)(pi) = sum over sigma tau = pi of a(sigma) b(tau),
-    summed in ints over each operand's common denominator; each output term
-    becomes one Fraction."""
+    summed in ints over each operand's common denominator.  A right operand
+    covering at least half of a group within the verify guard is read by
+    index (_dense_product); any other product composes term pair by pair."""
     a._check(b)
+    group, n = a.group, a.n
     da, xs = _integral(a.terms)
     db, ys = _integral(b.terms)
-    out: dict = {}
-    for sigma, ca in xs:
-        for tau, cb in ys:
-            pi = compose(sigma, tau)
-            out[pi] = out.get(pi, 0) + ca * cb
+    if 0 < n <= VERIFY_MAX[group] and _DENSE_SHARE * len(ys) >= _order(group, n):
+        out = _dense_product(group, n, xs, ys)
+    else:
+        out = {}
+        for sigma, ca in xs:
+            for tau, cb in ys:
+                pi = compose(sigma, tau)
+                out[pi] = out.get(pi, 0) + ca * cb
     d = da * db
-    return GAElem(a.group, a.n, {pi: Fraction(c, d) for pi, c in out.items() if c})
+    return GAElem._trusted(group, n, {pi: c // d if c % d == 0 else Fraction(c, d)
+                                      for pi, c in out.items() if c})
+
+
+def _dense_product(group: str, n: int, xs: list, ys: list) -> dict:
+    """pi -> sum over sigma of a(sigma) b(sigma^-1 pi), integer terms in and
+    out, through the cached _group_index.  Every pi is q eps, q unsigned
+    and eps a diagonal sign element; for each sigma, permutations(sigma^-1)
+    lists sigma^-1 q over the unsigned q in lexicographic order, and eps's
+    table turns each into the index of sigma^-1 q eps."""
+    elements = iterate_group(group, n, force=True)
+    index, unsigned, _, times, _ = _group_index(group, n)
+    right = [0] * len(elements)
+    for tau, c in ys:
+        right[index[tau]] = c
+    # per eps: element -> b(element eps)
+    rights = [list(map(right.__getitem__, t)) for t in times]
+    sums = [[0] * len(unsigned) for _ in times]
+    for sigma, c in xs:
+        left = list(map(index.__getitem__, permutations(inverse(sigma))))
+        for k, r in enumerate(rights):
+            sums[k] = list(map(add, sums[k], map(c.__mul__, map(r.__getitem__, left))))
+    return {elements[t[i]]: c for t, acc in zip(times, sums) for i, c in zip(unsigned, acc)}
 
 
 class GAPoly:
@@ -206,7 +264,7 @@ class GAPoly:
         return GAElem.zero(self.group, self.n)
 
     def __call__(self, x) -> GAElem:
-        x = as_fraction(x)
+        x = _coefficient(x)
         acc = GAElem.zero(self.group, self.n)
         for e in reversed(self.coeffs):
             acc = acc.scale(x) + e
@@ -465,9 +523,7 @@ def multiplicative_closure(elems: list[GAElem], cap: int | None = None) -> list[
         return []
     group, n = elems[0].group, elems[0].n
     if cap is None:
-        # the group order; S_n at n <= 0 is the one empty permutation
-        m = max(n, 0)
-        cap = factorial(m) << m if group == "B" else factorial(m)
+        cap = _order(group, n)
     basis_rows: dict = {}
     basis: list[GAElem] = []
     for e in elems:
@@ -625,6 +681,23 @@ def refined_decomposition(n: int, which: str, force: bool = False) -> dict:
 # --- the cyclic embedding ---------------------------------------------------------
 
 
+def _cyclic_embed(e: GAElem) -> GAElem:
+    """The image of e in Q[S_{n+1}]: each p goes to hat(p) times the mean of
+    the n+1 rotations, powers of omega(n+1)."""
+    n = e.n + 1
+    rot = omega(n)
+    powers = [rot]
+    while len(powers) < n:
+        powers.append(compose(powers[-1], rot))
+    out: dict = {}
+    for p, c in e.terms.items():
+        lifted = hat(p)
+        for w in powers:
+            q = compose(lifted, w)
+            out[q] = out.get(q, 0) + Fraction(c, n)
+    return GAElem("S", n, out)
+
+
 def cyclic_isomorphism_check(n: int, force: bool = False) -> bool:
     """Embed the descent-number span of S_{n-1} into Q[S_n] by averaging
     the n rotations of each extended permutation, and confirm it is a
@@ -636,32 +709,15 @@ def cyclic_isomorphism_check(n: int, force: bool = False) -> bool:
     """
     if not 3 <= n <= 6:
         raise ValueError("cyclic embedding check runs for 3 <= n <= 6")
-    rot = omega(n)
-    powers = []
-    acc = rot
-    for _ in range(n):
-        powers.append(acc)
-        acc = compose(acc, rot)
-
-    def embed(e: GAElem) -> GAElem:
-        out: dict = {}
-        for p, c in e.terms.items():
-            lifted = hat(p)
-            for w in powers:
-                q = compose(lifted, w)
-                out[q] = out.get(q, 0) + c / n
-        return GAElem("S", n, out)
-
     classes = [class_sum(n - 1, "descent_num", i, force) for i in range(n - 1)]
-    images = [embed(e) for e in classes]
+    images = [_cyclic_embed(e) for e in classes]
     if span_rank(images) != n - 1:
         return False
     for a, ia in zip(classes, images):
         for b, ib in zip(classes, images):
-            if ia * ib != embed(a * b):
+            if ia * ib != _cyclic_embed(a * b):
                 return False
-    unit = GAElem.basis("S", identity_perm(n - 1))
-    iu = embed(unit)
+    iu = _cyclic_embed(GAElem.basis("S", identity_perm(n - 1)))
     return iu * iu == iu
 
 

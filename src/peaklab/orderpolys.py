@@ -49,7 +49,9 @@ def class_gf(kind: str, n: int, params: tuple) -> RationalGF:
     Each is t^a (1+t)^b 2^c / (1-t)^(n+1).  For n >= 1 the classes of
     S_n and B_n realize exactly the parameters that keep a, b and c
     nonnegative, with a sign count of 0 or 1; any other parameters are
-    refused, and so is n = 0 where the interior and exterior forms fail.
+    refused.  At n = 0 the empty permutation realizes all-zero parameters
+    only, and its enriched count is 1 at every k, so every kind gives
+    1/(1-t) there, where the interior and exterior forms would not.
     """
     sig = 0
     if kind == "enriched_interior":
@@ -66,6 +68,8 @@ def class_gf(kind: str, n: int, params: tuple) -> RationalGF:
         a, b, c = pe + sig, n - 2 * pe - sig, 2 * pe + sig
     else:
         raise ValueError(f"{kind!r} has no generating function")
+    if n == 0 and not any(params):
+        return RationalGF(UniPoly.one(), _ONE_MINUS_T)
     if min(a, b, c) < 0 or sig not in (0, 1):
         raise ValueError(f"no element realizes {params} at n={n}")
     return RationalGF(_T**a * _ONE_PLUS_T**b * 2**c, _ONE_MINUS_T ** (n + 1))

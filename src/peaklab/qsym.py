@@ -363,10 +363,11 @@ def realize_basis(n: int, basis: str, index, m: int) -> MultiPoly:
         raise ValueError("degree must be positive")
     if m < 1:
         raise ValueError("need at least one variable")
+    # before the cache: the key does not tell True or 1.0 from 1
+    if not _index_ok(n, basis, index):
+        raise ValueError(f"index {index!r} is not valid for basis {basis} at n={n}")
 
     def build() -> MultiPoly:
-        if not _index_ok(n, basis, index):
-            raise ValueError(f"index {index!r} is not valid for basis {basis} at n={n}")
         if basis in ("M", "N"):
             return _realize_monomial(n, index, m, signed=basis == "N")
         if basis in ("F", "L"):

@@ -307,13 +307,26 @@ def test_fraction_formatting():
         as_fraction(0.25)
 
 
+def _normal(row: dict) -> bool:
+    """Every coefficient an int when integral, else a Fraction; never a float."""
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in row.values())
+
+
 def test_elimination_on_integer_rows_stays_exact():
     basis: dict = {}
     assert basis_insert({1: 2, 3: 3}, basis)
     # the lead is divided out as a Fraction: 3 / 2 is not the float 1.5
     assert basis == {1: {1: 1, 3: Fraction(3, 2)}}
-    assert all(type(c) is Fraction for row in basis.values() for c in row.values())
+    assert all(_normal(row) for row in basis.values())
+    assert type(basis[1][1]) is int and type(basis[1][3]) is Fraction
     assert basis_insert({1: 1, 2: 1}, basis)
-    assert all(type(c) is Fraction for row in basis.values() for c in row.values())
+    assert basis_insert({4: 3, 5: 6}, basis)
+    assert basis[4] == {4: 1, 5: 2}
+    assert all(_normal(row) for row in basis.values())
     left = reduce_row({1: 1}, basis)
     assert left == {3: Fraction(-3, 2)} and type(left[3]) is Fraction
+    # rows of ints with lead 1 eliminate in ints
+    assert basis_insert({6: 1, 7: -2}, basis)
+    left = reduce_row({6: 2, 7: 1}, basis)
+    assert left == {7: 5} and type(left[7]) is int

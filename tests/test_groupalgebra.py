@@ -516,37 +516,73 @@ def _convolve(a, b):
     return GAElem(a.group, a.n, out)
 
 
+def _normal(e):
+    """Every coefficient an int when integral, else a Fraction; never a float."""
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in e.terms.values())
+
+
+def _dense(a, b):
+    """Whether ga_multiply reads b by index: b covers at least half of a
+    group within the verify guard."""
+    order = groupalgebra._order(a.group, a.n)
+    return 0 < a.n <= limits.VERIFY_MAX[a.group] and 2 * b.support_size() >= order
+
+
 def _product_cases(group, n):
     """Seeded operand pairs: sparse and dense elements with mixed
-    denominators and signs, the zero element, basis elements, and
-    (1 + s)(1 - s) = 0 for an involution s."""
+    denominators and signs, right operands on both sides of the density
+    rule (half the group, and one term fewer), the zero element, basis
+    elements, and (1 + s)(1 - s) = 0 for an involution s.  Elements are
+    drawn without enumerating the group."""
     rng = random.Random(f"{group}{n}")
-    elements = list(perms.iterate_group(group, n))
+    order = groupalgebra._order(group, n)
+    numerators = [v for v in range(-9, 10) if v]
+
+    def perm():
+        p = rng.sample(range(1, n + 1), n)
+        return tuple(v * rng.choice((1, -1)) for v in p) if group == "B" else tuple(p)
 
     def element(size):
-        terms = {p: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 12]))
-                 for p in rng.sample(elements, size)}
-        return GAElem(group, n, terms)
+        support = set()
+        while len(support) < size:
+            support.add(perm())
+        return GAElem(group, n, {p: Fraction(rng.choice(numerators), rng.choice([1, 2, 3, 4, 6, 7, 12]))
+                                 for p in support})
 
-    sparse = [element(rng.randint(1, min(4, len(elements)))) for _ in range(4)]
-    dense = [element(len(elements)) for _ in range(2)]
+    sparse = [element(rng.randint(1, min(4, order))) for _ in range(4)]
     zero = GAElem.zero(group, n)
-    basis = [GAElem.basis(group, p) for p in rng.sample(elements, min(3, len(elements)))]
+    basis = [GAElem.basis(group, perm()) for _ in range(3)]
     one = GAElem.basis(group, identity_perm(n))
-    s = (-1,) + tuple(range(2, n + 1)) if group == "B" else (2, 1) + tuple(range(3, n + 1))
-    cases = [(a, b) for a in sparse + dense for b in sparse + dense]
-    cases += [(zero, dense[0]), (dense[0], zero), (zero, zero)]
+    cases = [(a, b) for a in sparse for b in sparse]
     cases += [(x, y) for x in basis for y in basis + sparse[:1]]
-    if len(elements) > 1:
+    cases += [(zero, sparse[0]), (sparse[0], zero), (zero, zero)]
+    if order > 1:
+        s = (-1,) + tuple(range(2, n + 1)) if group == "B" else (2, 1) + tuple(range(3, n + 1))
         flip = GAElem.basis(group, s)
         cases.append((one + flip, one - flip))
-        cases.append((dense[0].scale(Fraction(1, 3)), dense[0].scale(Fraction(-5, 2))))
+    if n > limits.VERIFY_MAX[group]:
+        return cases
+    dense = [element(order) for _ in range(2)]
+    edge = [element(-(-order // 2)), element(-(-order // 2) - 1)]
+    cases += [(a, b) for a in sparse + dense for b in dense]
+    cases += [(a, b) for a in dense for b in sparse]
+    cases += [(a, b) for a in sparse[:2] + dense[:1] for b in edge]
+    cases += [(zero, dense[0]), (dense[0], zero)]
+    cases.append((dense[0].scale(Fraction(1, 3)), dense[0].scale(Fraction(-5, 2))))
     return cases
 
 
-@pytest.mark.parametrize("group,n", [("S", n) for n in range(1, 6)] + [("B", n) for n in range(1, 4)])
+@pytest.mark.parametrize("group,n", [("S", n) for n in range(1, 6)] + [("B", n) for n in range(1, 4)]
+                         + [("S", 7), ("B", 5)])
 def test_ga_multiply_matches_fraction_convolution(monkeypatch, group, n):
     cases = _product_cases(group, n)
+    past_guard = n > limits.VERIFY_MAX[group]
+    if past_guard:
+        for name in ("group_index", "groups"):
+            monkeypatch.setitem(limits._CACHES, name, {})
+    else:
+        groupalgebra._group_index(group, n)
     calls = 0
 
     def counting(a, b):
@@ -556,15 +592,46 @@ def test_ga_multiply_matches_fraction_convolution(monkeypatch, group, n):
 
     monkeypatch.setattr(groupalgebra, "compose", counting)
     cancelled = False
+    paths = set()
     for a, b in cases:
         want = _convolve(a, b)
         calls = 0
         got = groupalgebra.ga_multiply(a, b)
-        assert calls == a.support_size() * b.support_size()
+        dense = _dense(a, b)
+        paths.add(dense)
+        # one compose per term pair on the pairwise path, none on the
+        # dense one once the group's index tables exist
+        assert calls == (0 if dense else a.support_size() * b.support_size())
         assert got == want and got.to_json() == want.to_json()
-        assert all(type(c) is Fraction for c in got.terms.values())
+        assert _normal(got)
         cancelled |= got.is_zero() and not (a.is_zero() or b.is_zero())
-    assert cancelled == (len(perms.iterate_group(group, n)) > 1)
+    assert cancelled == (groupalgebra._order(group, n) > 1)
+    # past the guard every product is pairwise and builds no group or index
+    assert paths == ({False} if past_guard else {False, True})
+    if past_guard:
+        assert not limits._CACHES["group_index"] and not limits._CACHES["groups"]
+
+
+def test_no_operation_yields_a_float():
+    a = GAElem("S", 3, {(2, 1, 3): 2, (1, 2, 3): Fraction(1, 2), (3, 1, 2): "-4/3"})
+    b = GAElem("S", 3, {(2, 1, 3): 1, (1, 3, 2): Fraction(3, 2)})
+    dense = GAElem("S", 3, {p: Fraction(i, 2) for i, p in enumerate(S3, 1)})
+    poly = GAPoly("S", 3, [a, b, dense])
+    results = [a + b, a - b, -a, a.scale(3), a.scale(Fraction(2, 3)), a * b, b * a, a * dense,
+               dense * dense, 2 * a, poly(2), poly(Fraction(1, 2)),
+               groupalgebra._cyclic_embed(a), groupalgebra._cyclic_embed(class_sum(3, "descent_num", 1))]
+    for e in results:
+        assert _normal(e)
+        assert all(type(e.coeff(p)) is Fraction for p in list(e.terms) + [eta(e.n)])
+    # an integral sum of Fractions is stored as an int (1/2 + 1/2), and a
+    # class sum's products stay in ints
+    assert type((a + a).terms[(1, 2, 3)]) is int
+    e = class_sum(4, "descent_num", 1)
+    assert all(type(c) is int for c in (e * e).terms.values())
+    with pytest.raises(TypeError):
+        a.scale(0.5)
+    with pytest.raises(TypeError):
+        GAElem("S", 3, {(2, 1, 3): 1.0})
 
 
 def test_ga_multiply_rejects_mixed_algebras():

@@ -115,12 +115,12 @@ def test_class_gf_errors():
 @pytest.mark.parametrize("kind, n, params", [
     ("enriched_interior", 3, (-1,)),  # used to compute 2 ** -1 as a float
     ("enriched_interior", 3, (2,)),
-    ("enriched_interior", 0, (0,)),
+    ("enriched_interior", 0, (1,)),  # the empty permutation realizes (0,) only
     ("enriched_left", 3, (-1,)),
     ("enriched_left", 3, (2,)),
     ("enriched_right", 3, (2,)),
     ("enriched_exterior", 3, (0,)),
-    ("enriched_exterior", 0, (0,)),
+    ("enriched_exterior", 0, (1,)),
     ("enriched_B", 3, (2, 0)),  # a sign count is 0 or 1
     ("enriched_B", 3, (-1, 1)),
     ("enriched_B", 3, (0, -1)),
@@ -134,7 +134,7 @@ def test_class_gf_refuses_unrealized_parameters(kind, n, params):
 @pytest.mark.parametrize("kind", [k for k in ORDER_POLY_KINDS if k.startswith("enriched")])
 def test_class_gf_accepts_exactly_the_realized_classes(kind):
     group, _, stat = ORDER_POLY_KINDS[kind]
-    for n in range(1, 6 if group == "S" else 5):
+    for n in range(0, 6 if group == "S" else 5):
         realized = {stat(p) for p in (symmetric_group if group == "S" else hyperoctahedral_group)(n)}
         grid = set(itertools.product(range(-2, n + 3), repeat=len(next(iter(realized)))))
         accepted = set()
@@ -145,6 +145,15 @@ def test_class_gf_accepts_exactly_the_realized_classes(kind):
                 continue
             accepted.add(params)
         assert accepted == realized, (kind, n)
+
+
+@pytest.mark.parametrize("kind", [k for k in ORDER_POLY_KINDS if k.startswith("enriched")])
+def test_empty_permutation_series_is_one_over_one_minus_t(kind):
+    # the empty chain has one enriched assignment at every k
+    params = ORDER_POLY_KINDS[kind][2](())
+    assert class_gf(kind, 0, params).coeffs(4) == [1, 1, 1, 1]
+    if kind in ("enriched_interior", "enriched_left", "enriched_B"):
+        assert enriched_gf((), kind).coeffs(4) == [1, 1, 1, 1]
 
 
 def test_reciprocity():

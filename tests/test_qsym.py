@@ -253,6 +253,18 @@ def test_every_entry_point_refuses_the_same_indices():
                     assert realize_basis(n, basis, idx, 2) == truncate_realize(spread, 2)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1)])
+def test_realize_basis_refusal_does_not_depend_on_call_order(monkeypatch, bad):
+    # each bad index equals, and hashes like, the valid index 1
+    monkeypatch.setitem(limits._CACHES, "realizations", {})
+    with pytest.raises(ValueError, match="is not valid"):
+        realize_basis(3, "N", bad, 2)
+    good = realize_basis(3, "N", 1, 2)
+    with pytest.raises(ValueError, match="is not valid"):
+        realize_basis(3, "N", bad, 2)
+    assert realize_basis(3, "N", 1, 2) is good
+
+
 def test_realize_basis_needs_a_variable():
     for m in (0, -1):
         with pytest.raises(ValueError, match="need at least one variable"):
