@@ -37,6 +37,8 @@ from .limits import ResourceLimitError, memo
 from .orderpolys import (
     IDENTITIES_43,
     ORDER_POLY_KINDS,
+    PEAK_POLY_KINDS,
+    WEIGHTED_KIND,
     enriched_gf,
     identity_check_43,
     order_polynomial,
@@ -150,26 +152,11 @@ def _cmd_qsym_expand(args) -> tuple[int, dict]:
     return 0, out
 
 
-_PEAK_TABLE_KINDS = (
-    "A_eulerian",
-    "B_eulerian",
-    "B_cyclic_eulerian",
-    "W_interior",
-    "W_left",
-    "W_plus",
-    "W_minus",
-)
-
-
 def _cmd_peak_table(args) -> tuple[int, dict]:
-    polys = {
-        kind: peak_polynomial(args.n, kind, force=args.force).to_strings()
-        for kind in _PEAK_TABLE_KINDS
-    }
-    weighted = [
-        peak_polynomial(args.n, "W_weighted", i=i, force=args.force).to_strings()
-        for i in range(args.n + 1)
-    ]
+    polys = {kind: peak_polynomial(args.n, kind, force=args.force).to_strings()
+             for kind in PEAK_POLY_KINDS if kind != WEIGHTED_KIND}
+    weighted = [peak_polynomial(args.n, WEIGHTED_KIND, i=i, force=args.force).to_strings()
+                for i in range(args.n + 1)]
     identities = {
         which: identity_check_43(args.n, which, force=args.force)
         for which in IDENTITIES_43

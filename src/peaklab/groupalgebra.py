@@ -338,10 +338,7 @@ def _class_table(family: str, n: int, force: bool):
         labels = tuple(sorted(set(values)))
         index = {lab: i for i, lab in enumerate(labels)}
         classes = [index[v] for v in values]
-        first: dict = {}
-        for i, c in enumerate(classes):
-            first.setdefault(c, i)
-        return labels, classes, [first[c] for c in range(len(labels))]
+        return labels, classes, sorted(_first_of_each(classes), key=classes.__getitem__)
 
     return memo("class_tables", (family, n), build)
 
@@ -374,13 +371,20 @@ def _by_class(family: str, n: int, force: bool, values) -> GAElem:
     return GAElem(group, n, {p: values[c] for p, c in zip(iterate_group(group, n, force), classes)})
 
 
+def _same_types(a, b) -> bool:
+    """a == b with the same type at every level, so True and 1.0 are not 1."""
+    if type(a) is tuple and type(b) is tuple and len(a) == len(b):
+        return all(map(_same_types, a, b))
+    return type(a) is type(b) and a == b
+
+
 def class_sum(n: int, family: str, label, force: bool = False) -> GAElem:
     """Sum, with coefficient 1, of the group elements in the given class."""
     if family not in CLASS_FAMILIES:
         raise ValueError(f"unknown class family {family!r}")
     if isinstance(label, list):
         label = tuple(label)
-    if label not in family_labels(family, n, force):
+    if not any(_same_types(label, lab) for lab in family_labels(family, n, force)):
         raise ValueError(f"{label!r} is not a class label of {family} at n={n}")
     labels = _class_table(family, n, force)[0]
     e = _by_class(family, n, force, [int(lab == label) for lab in labels])
@@ -621,59 +625,54 @@ def minimal_non_algebra_n(family: str, n_max: int = 4) -> int | None:
 # --- refined decompositions ------------------------------------------------------
 
 
+# decomposition -> (group, largest count at n, tags in name order, split
+# p -> (count, tag)).  Type B splits the cyclic descent classes by the last
+# entry's sign, type A the interior peak classes (from 1) by a descent at 1.
+_REFINED = {
+    "typeB_F": ("B", lambda n: n, ("+", "-"), lambda p: (
+        STATISTICS["B_cyclic_descent"](p).bit_count(), "+" if p[-1] > 0 else "-")),
+    "typeA_F": ("S", lambda n: (n + 1) // 2, (1, 0), lambda p: (
+        STATISTICS["peak_interior"](p).bit_count() + 1,
+        STATISTICS["descent_linear"](p) >> 1 & 1)),
+}
+
+
 def refined_decomposition(n: int, which: str, force: bool = False) -> dict:
-    """Finer class sums that split two number-indexed families at once,
-    with the exact bookkeeping identities between the three bases."""
+    """Finer class sums F_i^t that split two number-indexed families at
+    once, with the exact bookkeeping identities between the three bases."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if which not in _REFINED:
+        raise ValueError(f"unknown decomposition {which!r}")
+    group, largest, tags, split = _REFINED[which]
+    top = largest(n)
+    terms: dict = {(i, t): {} for i in range(1, top + 1) for t in tags}
+    for p in iterate_group(group, n, force):
+        terms[split(p)][p] = 1
+    f = {key: GAElem(group, n, t) for key, t in terms.items()}
+    elements = {f"F_{i}^{t}": e for (i, t), e in f.items()}
     relations: dict[str, bool] = {}
-    elements: dict[str, GAElem] = {}
     if which == "typeB_F":
-        group = "B"
-        plus = {i: dict() for i in range(1, n + 1)}
-        minus = {i: dict() for i in range(1, n + 1)}
-        for p in iterate_group(group, n, force):
-            i = STATISTICS["B_cyclic_descent"](p).bit_count()
-            (plus if p[-1] > 0 else minus)[i][p] = Fraction(1)
-        fp = {i: GAElem(group, n, plus[i]) for i in plus}
-        fm = {i: GAElem(group, n, minus[i]) for i in minus}
-        for i in range(1, n + 1):
-            elements[f"F_{i}^+"] = fp[i]
-            elements[f"F_{i}^-"] = fm[i]
         e_b = {i: class_sum(n, "B_descent_num", i - 1, force) for i in range(1, n + 2)}
         e_bc = {i: class_sum(n, "B_cyclic_descent_num", i, force) for i in range(1, n + 1)}
-        relations["first_descent_class"] = e_b[1] == fp[1]
-        relations["last_descent_class"] = e_b[n + 1] == fm[n]
+        relations["first_descent_class"] = e_b[1] == f[1, "+"]
+        relations["last_descent_class"] = e_b[n + 1] == f[n, "-"]
         for i in range(2, n + 1):
-            relations[f"descent_class_{i}"] = e_b[i] == fm[i - 1] + fp[i]
+            relations[f"descent_class_{i}"] = e_b[i] == f[i - 1, "-"] + f[i, "+"]
         for i in range(1, n + 1):
-            relations[f"cyclic_class_{i}"] = e_bc[i] == fm[i] + fp[i]
-    elif which == "typeA_F":
-        group = "S"
-        top = (n + 1) // 2
-        with_one = {i: dict() for i in range(1, top + 1)}
-        without = {i: dict() for i in range(1, top + 1)}
-        for p in iterate_group(group, n, force):
-            i = STATISTICS["peak_interior"](p).bit_count() + 1
-            (with_one if STATISTICS["descent_linear"](p) >> 1 & 1 else without)[i][p] = Fraction(1)
-        f1 = {i: GAElem(group, n, with_one[i]) for i in with_one}
-        f0 = {i: GAElem(group, n, without[i]) for i in without}
-        for i in range(1, top + 1):
-            elements[f"F_{i}^1"] = f1[i]
-            elements[f"F_{i}^0"] = f0[i]
+            relations[f"cyclic_class_{i}"] = e_bc[i] == f[i, "-"] + f[i, "+"]
+    else:
         zero = GAElem.zero(group, n)
         left_top = n // 2 + 1
         e_pe = {i: class_sum(n, "peak_interior_num", i - 1, force) for i in range(1, top + 1)}
         e_l = {i: class_sum(n, "peak_left_num", i - 1, force) for i in range(1, left_top + 1)}
-        relations["first_left_class"] = e_l[1] == f0[1]
+        relations["first_left_class"] = e_l[1] == f[1, 0]
         for i in range(2, left_top + 1):
-            relations[f"left_class_{i}"] = e_l[i] == f1[i - 1] + f0.get(i, zero)
+            relations[f"left_class_{i}"] = e_l[i] == f[i - 1, 1] + f.get((i, 0), zero)
         for i in range(1, top + 1):
-            relations[f"interior_class_{i}"] = e_pe[i] == f1[i] + f0[i]
+            relations[f"interior_class_{i}"] = e_pe[i] == f[i, 1] + f[i, 0]
         if n % 2 == 1:
-            relations["odd_top_vanishes"] = f1[top].is_zero()
-    else:
-        raise ValueError(f"unknown decomposition {which!r}")
+            relations["odd_top_vanishes"] = f[top, 1].is_zero()
     return {"which": which, "n": n, "elements": elements, "relations": relations,
             "ok": all(relations.values())}
 

@@ -11,6 +11,7 @@ not checked against enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .exact import RationalGF, UniPoly, binom_poly, interpolate
@@ -166,6 +167,22 @@ def reciprocity_check(pi, kind: str) -> bool:
 # --- peak and Eulerian polynomials -------------------------------------------
 
 
+# kind -> (group, statistic, exponent shift, restriction p, i -> keep p).
+# Only W_weighted reads i, its number of negative entries.  The peak table
+# reports the kinds in this order, W_weighted at every i.
+PEAK_POLY_KINDS = {
+    "A_eulerian": ("S", "descent_linear", 1, None),
+    "B_eulerian": ("B", "B_descent", 0, None),
+    "B_cyclic_eulerian": ("B", "B_cyclic_descent", 0, None),
+    "W_interior": ("S", "peak_interior", 1, None),
+    "W_left": ("S", "peak_left", 0, None),
+    "W_plus": ("B", "B_peak", 0, lambda p, i: p[0] > 0),
+    "W_minus": ("B", "B_peak", 1, lambda p, i: p[0] < 0),
+    "W_weighted": ("B", "B_descent", 0, lambda p, i: sum(v < 0 for v in p) == i),
+}
+WEIGHTED_KIND = "W_weighted"
+
+
 def peak_polynomial(n: int, kind: str, i: int | None = None, force: bool = False) -> UniPoly:
     """Distribution polynomial of a statistic over S_n or B_n.
 
@@ -179,44 +196,24 @@ def peak_polynomial(n: int, kind: str, i: int | None = None, force: bool = False
       W_minus            t^(pe_B + 1) over pi(1) < 0
       W_weighted         t^(des_B) over exactly i negative entries
 
+    W_weighted needs an int i in 0..n and every other kind refuses one.
     Each polynomial is computed once per (n, kind, i) and shared.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if kind == "W_weighted":
-        if i is None:
-            raise ValueError("W_weighted needs the number of negative entries i")
-        if not 0 <= i <= n:
-            raise ValueError("i out of range")
-    # kind -> (group, statistic, exponent shift, restriction)
-    table = {
-        "A_eulerian": ("S", "descent_linear", 1, None),
-        "B_eulerian": ("B", "B_descent", 0, None),
-        "B_cyclic_eulerian": ("B", "B_cyclic_descent", 0, None),
-        "W_interior": ("S", "peak_interior", 1, None),
-        "W_left": ("S", "peak_left", 0, None),
-        "W_plus": ("B", "B_peak", 0, lambda p: p[0] > 0),
-        "W_minus": ("B", "B_peak", 1, lambda p: p[0] < 0),
-        "W_weighted": ("B", "B_descent", 0, lambda p: sum(1 for v in p if v < 0) == i),
-    }
-    if kind not in table:
+    if kind not in PEAK_POLY_KINDS:
         raise ValueError(f"unknown peak polynomial kind {kind!r}")
-    group, stat, shift, keep = table[kind]
+    if kind == WEIGHTED_KIND and (type(i) is not int or not 0 <= i <= n):
+        raise ValueError(f"{kind} needs the number of negatives i, an int in 0..{n}, not {i!r}")
+    if kind != WEIGHTED_KIND and i is not None:
+        raise ValueError(f"{kind} takes no i, got {i!r}")
+    group, stat, shift, keep = PEAK_POLY_KINDS[kind]
     elements = iterate_group(group, n, force)
 
     def build() -> UniPoly:
         mask = STATISTICS[stat]
-        buckets: dict[int, int] = {}
-        for p in elements:
-            if keep is None or keep(p):
-                e = mask(p).bit_count() + shift
-                buckets[e] = buckets.get(e, 0) + 1
-        if not buckets:
-            return UniPoly()
-        coeffs = [0] * (max(buckets) + 1)
-        for e, c in buckets.items():
-            coeffs[e] = c
-        return UniPoly(coeffs)
+        counts = Counter(mask(p).bit_count() + shift for p in elements if keep is None or keep(p, i))
+        return UniPoly(counts[e] for e in range(max(counts) + 1))
 
     return memo("peak_polys", (n, kind, i), build)
 
@@ -282,7 +279,7 @@ def identity_check_43(n: int, which: str, force: bool = False) -> bool:
 
         den = _ONE_MINUS_T ** (n + 1)
         series = [
-            RationalGF(peak_polynomial(n, "W_weighted", i=i, force=force), den).coeffs(n + 3)
+            RationalGF(peak_polynomial(n, WEIGHTED_KIND, i=i, force=force), den).coeffs(n + 3)
             for i in range(n + 1)
         ]
         for k in range(n + 3):

@@ -378,11 +378,8 @@ def realize_basis(n: int, basis: str, index, m: int) -> MultiPoly:
                 out = out + _realize_monomial(n, index | extra, m, signed)
             return out
         if basis in _K_FLAVOR:
-            spread = peak_function(n, index, _K_FLAVOR[basis])
-            out = MultiPoly.zero(m + 1)
-            for idx, c in spread.coeffs.items():
-                out = out + realize_basis(n, spread.basis, idx, m) * c
-            return out
+            # realize_basis has no guard on m, so neither has its K branch
+            return truncate_realize(peak_function(n, index, _K_FLAVOR[basis]), m, force=True)
         raise ValueError(f"unknown basis {basis!r}")
 
     return memo("realizations", (n, basis, index, m), build)

@@ -145,6 +145,19 @@ def test_one_list_of_peak_flavors():
     assert sorted(ranks) == sorted(choices) == accepted == sorted(flavors)
 
 
+def test_one_list_of_peak_polynomial_kinds(capsys):
+    # the peak table reads orderpolys.PEAK_POLY_KINDS in table order, the
+    # weighted kind in its own list; cli names no kind itself
+    kinds = list(orderpolys.PEAK_POLY_KINDS)
+    assert cli.main(["peak-table", "-n", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out["polynomials"]) == [k for k in kinds if k != orderpolys.WEIGHTED_KIND]
+    assert len(out["weighted_by_negatives"]) == 3
+    literals = {node.value for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                if isinstance(node, ast.Constant)}
+    assert not literals & set(kinds)
+
+
 def test_section_43_identities_build_no_fraction(monkeypatch):
     made = 0
     make = Fraction.__new__

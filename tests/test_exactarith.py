@@ -330,3 +330,35 @@ def test_elimination_on_integer_rows_stays_exact():
     assert basis_insert({6: 1, 7: -2}, basis)
     left = reduce_row({6: 2, 7: 1}, basis)
     assert left == {7: 5} and type(left[7]) is int
+
+
+def test_reprs_pinned():
+    assert repr(UniPoly()) == "UniPoly(0)"
+    assert repr(UniPoly((3,))) == "UniPoly(3)"
+    assert repr(UniPoly((Fraction(-1, 2), 0, 2))) == "UniPoly(-1/2 + 2*x^2)"
+    assert repr(MultiPoly(2)) == "MultiPoly(0)"
+    terms = {(0, 0): 3, (1, 2): Fraction(-1, 2), (0, 1): 1}
+    assert repr(MultiPoly(2, terms)) == "MultiPoly(3*1 + 1*z1^1 + -1/2*z0^1*z1^2)"
+    # the normal form makes the denominator's leading coefficient positive
+    assert repr(RationalGF(UniPoly((1, 1)), UniPoly((1, -1)))) == \
+        "RationalGF(UniPoly(-1 + -1*x) / UniPoly(-1 + 1*x))"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: binom_poly(1, -1), ValueError, "degree must be nonnegative"),
+    (lambda: interpolate([(1, 2), (1, 3)]), ValueError, "interpolation nodes must be distinct"),
+    (lambda: RationalGF(UniPoly((1,)), UniPoly()), ZeroDivisionError, "zero denominator"),
+    (lambda: RationalGF(UniPoly((1,)), UniPoly((0, 1))), ValueError,
+     "denominator needs a nonzero constant term"),
+    (lambda: MultiPoly(2, {(1,): 1}), ValueError, "exponent tuple has the wrong length"),
+    (lambda: MultiPoly(2) + MultiPoly(3), ValueError, "arity mismatch"),
+    (lambda: MultiPoly(2, {(1, 0): 1}) * MultiPoly(3, {(0, 0, 1): 1}), ValueError,
+     "arity mismatch"),
+    (lambda: MultiPoly(2).set_var_zero(2), ValueError, "slot out of range"),
+    (lambda: MultiPoly(2).set_var_zero(-1), ValueError, "slot out of range"),
+    (lambda: MultiPoly(2).embed(2, 1), ValueError, "embedding does not fit"),
+])
+def test_exact_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

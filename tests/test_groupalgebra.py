@@ -91,6 +91,14 @@ def test_gapoly_basics():
     assert p.left_mul(swap) == GAPoly("S", 2, [swap, one])
     with pytest.raises(ValueError):
         GAPoly("S", 2, [GAElem.zero("S", 3), one])
+    with pytest.raises(AttributeError, match="^GAPoly is immutable$"):
+        p.n = 3
+
+
+def test_gaelem_times_a_scalar():
+    e = GAElem("S", 2, {(2, 1): Fraction(1, 2), (1, 2): 1})
+    assert repr(e * 3) == "GAElem(S2: 3*(1, 2) + 3/2*(2, 1))"
+    assert e * 3 == 3 * e == e.scale(3)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +126,38 @@ def test_class_sum_errors_and_empty_class():
     with pytest.warns(UserWarning):
         empty = class_sum(2, "B_peak_sign_num", (1, 1))
     assert empty.is_zero()
+
+
+@pytest.mark.parametrize("n, family, label", [
+    (3, "descent_num", True),
+    (3, "descent_num", 1.0),
+    (2, "B_peak_sign_num", (True, 0)),
+    (2, "B_peak_sign_num", (1, 0.0)),
+    (3, "B_peak_sign_set", (0, (2.0,))),
+    (3, "B_peak_sign_set", (0, [2])),
+])
+def test_class_sum_refuses_a_label_of_another_type(n, family, label):
+    # each equals a realized label, but not with the same type at every level
+    with pytest.raises(ValueError, match="is not a class label of"):
+        class_sum(n, family, label)
+
+
+def test_class_sum_keeps_the_top_level_list_label():
+    assert class_sum(2, "B_peak_sign_num", [1, 0]) == class_sum(2, "B_peak_sign_num", (1, 0))
+    assert class_sum(3, "B_peak_sign_set", [0, (2,)]).support_size() == 5
+
+
+def test_refined_decomposition_element_names():
+    for n in range(1, 6):
+        top = (n + 1) // 2
+        out = refined_decomposition(n, "typeA_F")
+        assert list(out["elements"]) == [f"F_{i}^{t}" for i in range(1, top + 1) for t in (1, 0)]
+        # the top element with a descent at 1 stays, empty, at odd n
+        assert out["elements"][f"F_{top}^1"].is_zero() == (n % 2 == 1)
+        out = refined_decomposition(n, "typeB_F")
+        assert list(out["elements"]) == [f"F_{i}^{t}" for i in range(1, n + 1) for t in "+-"]
+        sizes = [e.support_size() for e in out["elements"].values()]
+        assert sum(sizes) == len(list(hyperoctahedral_group(n)))
 
 
 def test_eulerian_class_sizes():

@@ -207,6 +207,30 @@ def test_peak_polynomial_errors_and_guards():
         peak_polynomial(7, "B_eulerian")
 
 
+def test_weighted_peak_polynomial_refuses_a_fractional_i():
+    # a float i used to select no element and return the zero polynomial
+    with pytest.raises(ValueError, match=r"^W_weighted needs .* 0\.\.3, not 1\.5$"):
+        peak_polynomial(3, "W_weighted", i=1.5)
+
+
+def test_weighted_peak_polynomial_refuses_a_bool_i():
+    # True used to be read as 1
+    with pytest.raises(ValueError, match=r"^W_weighted needs .* 0\.\.3, not True$"):
+        peak_polynomial(3, "W_weighted", i=True)
+
+
+def test_unindexed_peak_polynomial_refuses_an_i(monkeypatch):
+    # an ignored i used to cache a second copy under (n, kind, i)
+    monkeypatch.setattr(limits, "_CACHES", {})
+    with pytest.raises(ValueError, match="^A_eulerian takes no i, got 7$"):
+        peak_polynomial(3, "A_eulerian", i=7)
+    assert "peak_polys" not in limits._CACHES
+    for kind in orderpolys.PEAK_POLY_KINDS:
+        if kind != orderpolys.WEIGHTED_KIND:
+            with pytest.raises(ValueError, match="takes no i"):
+                peak_polynomial(3, kind, i=0)
+
+
 def test_poly_at_gf():
     g = RationalGF(UniPoly((1,)), UniPoly((1, -1)))
     p = UniPoly((1, 0, 1))
@@ -242,10 +266,11 @@ def test_peak_table_scans_each_group_once_per_kind(monkeypatch, capsys):
     monkeypatch.setattr(orderpolys, "iterate_group", counting)
     monkeypatch.setattr(limits, "_CACHES", {})
     assert cli.main(["peak-table", "-n", "4"]) == 0
-    # seven kinds and W_weighted at i = 0..4, one scan each; the identity
-    # checks reuse the same polynomials
-    assert len(scans) == len(cli._PEAK_TABLE_KINDS) + 5
+    # the seven kinds other than W_weighted, and W_weighted at i = 0..4, one
+    # scan each; the identity checks reuse the same polynomials
+    plain = len(orderpolys.PEAK_POLY_KINDS) - 1
+    assert len(scans) == plain + 5
     assert scans.count(("S", 4)) == 3 and scans.count(("B", 4)) == 4 + 5
     assert cli.main(["peak-table", "-n", "4"]) == 0
-    assert len(scans) == len(cli._PEAK_TABLE_KINDS) + 5
+    assert len(scans) == plain + 5
     capsys.readouterr()

@@ -13,6 +13,7 @@ from peaklab.perms import (
     descent_mask,
     descent_stat,
     eta,
+    group_name,
     exterior_peak_mask,
     hat,
     hyperoctahedral_group,
@@ -210,3 +211,10 @@ def test_peak_count_bound():
 def test_stat_result_json():
     r = descent_stat([2, 1, 3])
     assert r.to_json() == {"set": [1], "count": 1}
+
+
+def test_unknown_kind_and_group_names_are_refused():
+    with pytest.raises(ValueError, match="^unknown descent kind 'peak'$"):
+        descent_stat((2, 1), "peak")
+    with pytest.raises(ValueError, match="^unknown group 'D'$"):
+        group_name("D")

@@ -671,3 +671,13 @@ def test_signed_covers_are_checked_once_per_mirror_pair(monkeypatch):
     # checking each cover together with its mirror (-b, -a) made 915 calls
     # here; the self-mirror covers (-i, i) and (i, -i) cannot be halved
     assert calls <= 723
+
+
+def test_order_reprs_pinned():
+    assert repr(Poset.from_covers(2, [(2, 1)])) == "Poset(n=2, {2<1})"
+    assert repr(BPoset.from_covers(1, [(0, 1)])) == "BPoset(n=1, {-1<0, -1<1, 0<1})"
+
+
+def test_signed_poset_refuses_an_unsigned_alphabet():
+    with pytest.raises(ValueError, match="^signed poset needs a sign-symmetric alphabet$"):
+        partition_monomials(BPoset.from_covers(1, [(0, 1)]), ordinary_alphabet(2))

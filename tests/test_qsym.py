@@ -622,3 +622,24 @@ def test_fibonacci_rank_mismatch_is_reported(monkeypatch):
             "ok": False,
             "counterexample": (family, str(rank), f"fibonacci {rank + 1}"),
         }
+
+
+def test_expansion_reprs_and_zero_coefficients():
+    spread = QsymExpansion(3, "F", {0b110: 2, 0: Fraction(1, 2), 0b10: 0})
+    # a zero coefficient is dropped, not stored
+    assert spread.coeffs == {0b110: 2, 0: Fraction(1, 2)}
+    assert repr(spread) == "QsymExpansion(n=3: 1/2*F_{} + 2*F_{1,2})"
+    k_b = QsymExpansion(3, "K_B", {SignPeakSet(0, (2,)): 3, SignPeakSet(1, ()): Fraction(-1, 2)})
+    assert repr(k_b) == "QsymExpansion(n=3: 3*K_B_(0,{2}) + -1/2*K_B_(1,{}))"
+    assert repr(QsymExpansion(2, "M", {})) == "QsymExpansion(n=2: 0)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: truncated_enumerator((1, 2), "exterior", 2), "unknown flavor 'exterior'"),
+    (lambda: realize_basis(0, "M", 0, 2), "degree must be positive"),
+    (lambda: QsymExpansion(0, "M", {}), "degree must be positive"),
+])
+def test_qsym_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
