@@ -44,7 +44,7 @@ from .orderpolys import (
     order_polynomial,
     peak_polynomial,
 )
-from .perms import descent_stat, peak_stat, signed_stat, validate_perm
+from .perms import STATISTICS, StatResult, validate_perm
 from .qsym import _FLAVORS, delta_expansion
 
 
@@ -60,23 +60,11 @@ def _parse_perm(text: str) -> list[int]:
 
 
 def _cmd_stats(args) -> tuple[int, dict]:
-    perm = _parse_perm(args.perm)
-    if args.signed:
-        validate_perm(perm, signed=True)
-        out = {"perm": perm, "n": len(perm), "signed": True}
-        for key in ("descent", "cyclic_descent", "peak", "sign"):
-            out[key] = signed_stat(perm, key).to_json()
-    else:
-        validate_perm(perm)
-        out = {
-            "perm": perm,
-            "n": len(perm),
-            "signed": False,
-            "descent": descent_stat(perm, "linear").to_json(),
-            "cyclic_descent": descent_stat(perm, "cyclic").to_json(),
-        }
-        for key in ("interior", "left", "right", "exterior"):
-            out[f"peak_{key}"] = peak_stat(perm, key).to_json()
+    perm = validate_perm(_parse_perm(args.perm), signed=args.signed)
+    out = {"perm": perm, "n": len(perm), "signed": args.signed}
+    for name, mask in STATISTICS.items():
+        if name.startswith("B_") == args.signed:
+            out[name.removeprefix("B_")] = StatResult(mask(perm)).to_json()
     return 0, out
 
 

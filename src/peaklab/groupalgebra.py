@@ -301,9 +301,9 @@ def _set(name: str):
 # tag -> (group, classifier).  Number-indexed families are labeled by the
 # size of a statistic set, set-indexed ones by its positions tuple.
 CLASS_FAMILIES = {
-    "descent_set": ("S", _set("descent_linear")),
-    "descent_num": ("S", _size("descent_linear")),
-    "cyclic_descent_num": ("S", _size("descent_cyclic")),
+    "descent_set": ("S", _set("descent")),
+    "descent_num": ("S", _size("descent")),
+    "cyclic_descent_num": ("S", _size("cyclic_descent")),
     "B_descent_num": ("B", _size("B_descent")),
     "B_cyclic_descent_num": ("B", _size("B_cyclic_descent")),
     "peak_interior_set": ("S", _set("peak_interior")),
@@ -633,7 +633,7 @@ _REFINED = {
         STATISTICS["B_cyclic_descent"](p).bit_count(), "+" if p[-1] > 0 else "-")),
     "typeA_F": ("S", lambda n: (n + 1) // 2, (1, 0), lambda p: (
         STATISTICS["peak_interior"](p).bit_count() + 1,
-        STATISTICS["descent_linear"](p) >> 1 & 1)),
+        STATISTICS["descent"](p) >> 1 & 1)),
 }
 
 
@@ -645,9 +645,10 @@ def refined_decomposition(n: int, which: str, force: bool = False) -> dict:
     if which not in _REFINED:
         raise ValueError(f"unknown decomposition {which!r}")
     group, largest, tags, split = _REFINED[which]
+    sweep = iterate_group(group, n, force)  # refuses a bad n before largest(n)
     top = largest(n)
     terms: dict = {(i, t): {} for i in range(1, top + 1) for t in tags}
-    for p in iterate_group(group, n, force):
+    for p in sweep:
         terms[split(p)][p] = 1
     f = {key: GAElem(group, n, t) for key, t in terms.items()}
     elements = {f"F_{i}^{t}": e for (i, t), e in f.items()}
@@ -765,7 +766,7 @@ def _group_index(group: str, n: int):
         inverses = [index[inverse(p)] for p in elements]
         diagonal = [p for p in elements if all(abs(v) == i for i, v in enumerate(p, 1))]
         times = [[index[compose(p, eps)] for p in elements] for eps in diagonal]
-        descents = STATISTICS["descent_linear" if group == "S" else "B_descent"]
+        descents = STATISTICS["descent" if group == "S" else "B_descent"]
         first: dict = {}
         owners = [first.setdefault(descents(p), i) for i, p in enumerate(elements)]
         return index, unsigned, inverses, times, owners
@@ -827,13 +828,9 @@ def _pair_rows(group: str, n: int, famL: str, famR: str) -> list[list[int]]:
 
 def _cleared(polys: list[UniPoly], args) -> dict:
     """argument -> (d, values): every polynomial's value there is its
-    integer in values over the common denominator d."""
-    out = {}
-    for t in args:
-        vals = [p(t) for p in polys]
-        d = lcm(*(v.denominator for v in vals))
-        out[t] = (d, [v.numerator * (d // v.denominator) for v in vals])
-    return out
+    integer in values over the common denominator d (_integral)."""
+    cleared = {t: _integral(dict(enumerate(p(t) for p in polys))) for t in args}
+    return {t: (d, [v for _, v in vals]) for t, (d, vals) in cleared.items()}
 
 
 def _check_product(group: str, n: int, famL: str, famR: str, famT: str, force: bool):

@@ -27,8 +27,8 @@ def _sizes(*names: str):
 
 # tag -> (group, image-set kind or None, statistic parameters)
 ORDER_POLY_KINDS = {
-    "A_ordinary": ("S", "ordinary", _sizes("descent_linear")),
-    "A_cyclic": ("S", None, _sizes("descent_cyclic")),
+    "A_ordinary": ("S", "ordinary", _sizes("descent")),
+    "A_cyclic": ("S", None, _sizes("cyclic_descent")),
     "B_ordinary": ("B", "ordinaryB", _sizes("B_descent")),
     "B_cyclic": ("B", None, _sizes("B_cyclic_descent")),
     "enriched_interior": ("S", "enriched", _sizes("peak_interior")),
@@ -171,7 +171,7 @@ def reciprocity_check(pi, kind: str) -> bool:
 # Only W_weighted reads i, its number of negative entries.  The peak table
 # reports the kinds in this order, W_weighted at every i.
 PEAK_POLY_KINDS = {
-    "A_eulerian": ("S", "descent_linear", 1, None),
+    "A_eulerian": ("S", "descent", 1, None),
     "B_eulerian": ("B", "B_descent", 0, None),
     "B_cyclic_eulerian": ("B", "B_cyclic_descent", 0, None),
     "W_interior": ("S", "peak_interior", 1, None),

@@ -6,10 +6,14 @@ with pairwise distinct absolute values.  One-line notation throughout, and
 statistics are returned as StatResult so positions and counts travel
 together.
 
-Descent and peak sets are computed on bitmasks first and wrapped at the
-end.  STATISTICS is the one table of statistic names; the order-polynomial,
-group-algebra and quasisymmetric layers read their masks from it, and they
-iterate S_n or B_n only through iterate_group.
+Statistics are bitmasks, wrapped at the end.  Every peak set is one rule
+on a descent mask D: a peak is a descent whose predecessor is not one,
+D & ~(D << 1), kept in its flavor's range, and the right and exterior
+flavors add n after a trailing ascent.  The type-B peak set is the left
+rule on the B descent mask, which equals D on unsigned input.  STATISTICS
+names every mask, a type-B name being B_ plus its type-A name; the other
+layers read their masks from it, and they iterate S_n or B_n only
+through iterate_group.
 """
 
 from __future__ import annotations
@@ -103,41 +107,7 @@ def descent_mask(p: Perm) -> int:
 
 
 def cyclic_descent_mask(p: Perm) -> int:
-    m = descent_mask(p)
-    n = len(p)
-    if n and p[-1] > p[0]:
-        m |= 1 << n
-    return m
-
-
-def left_peak_mask(p: Perm) -> int:
-    """Peaks in 1..n-1 with a zero sentinel on the left; this is also the
-    type-B peak set, where 1 is a peak only when 0 < p(1) > p(2).  The
-    other peak flavors are read off this one scan."""
-    ext = (0,) + p
-    m = 0
-    for i in range(1, len(p)):
-        if ext[i - 1] < ext[i] > ext[i + 1]:
-            m |= 1 << i
-    return m
-
-
-def peak_mask(p: Perm) -> int:
-    """Interior peaks: strictly inside, 2..n-1."""
-    return left_peak_mask(p) & ~0b10
-
-
-def right_peak_mask(p: Perm) -> int:
-    """Position n may be a peak (the right sentinel is 0), 1 may not."""
-    n = len(p)
-    return left_peak_mask(p) & ~0b10 | (n > 1 and p[-2] < p[-1]) << n
-
-
-def exterior_peak_mask(p: Perm) -> int:
-    """Both ends allowed, with zero sentinels on both sides.  For n >= 2
-    this is left | right; S_1's one element is a peak at 1 in neither."""
-    n = len(p)
-    return left_peak_mask(p) | (n == 1 or n > 1 and p[-2] < p[-1]) << n
+    return descent_mask(p) | (bool(p) and p[-1] > p[0]) << len(p)
 
 
 def sign_mask(p: Perm) -> int:
@@ -151,11 +121,35 @@ def b_descent_mask(p: Perm) -> int:
 
 
 def b_cyclic_descent_mask(p: Perm) -> int:
-    m = b_descent_mask(p)
-    n = len(p)
-    if n and p[-1] > 0:
-        m |= 1 << n
-    return m
+    return b_descent_mask(p) | (bool(p) and p[-1] > 0) << len(p)
+
+
+def _peaks(d: int, n: int, low: int, tail: int) -> int:
+    """The peak rule on the descent mask d of a word of length n, kept at
+    low and above; n is added after a trailing ascent when n >= tail > 0."""
+    return d & ~(d << 1) & -(1 << low) | (0 < tail <= n and not d >> (n - 1) & 1) << n
+
+
+def left_peak_mask(p: Perm) -> int:
+    """Peaks in 1..n-1, read with p(0) = 0.  On the B descent mask, 1 is a
+    peak only when 0 < p(1) > p(2), so this is also the type-B peak set."""
+    return _peaks(b_descent_mask(p), len(p), 1, 0)
+
+
+def peak_mask(p: Perm) -> int:
+    """Interior peaks: strictly inside, 2..n-1."""
+    return _peaks(descent_mask(p), len(p), 2, 0)
+
+
+def right_peak_mask(p: Perm) -> int:
+    """Position n may be a peak (the right sentinel is 0), 1 may not."""
+    return _peaks(descent_mask(p), len(p), 2, 2)
+
+
+def exterior_peak_mask(p: Perm) -> int:
+    """Both ends allowed, with zero sentinels on both sides.  For n >= 2
+    this is left | right; S_1's one element is a peak at 1 in neither."""
+    return _peaks(descent_mask(p), len(p), 1, 1)
 
 
 def positions(mask: int) -> tuple[int, ...]:
@@ -168,8 +162,8 @@ def positions(mask: int) -> tuple[int, ...]:
 # the direct values of module-level dicts, so a mask nested deeper, or
 # captured in a closure, would escape it.
 STATISTICS = {
-    "descent_linear": descent_mask,
-    "descent_cyclic": cyclic_descent_mask,
+    "descent": descent_mask,
+    "cyclic_descent": cyclic_descent_mask,
     "peak_interior": peak_mask,
     "peak_left": left_peak_mask,
     "peak_right": right_peak_mask,
@@ -207,7 +201,8 @@ def _stat(p: Perm, key: str, kind: str, what: str) -> StatResult:
 
 def descent_stat(p, kind: str = "linear") -> StatResult:
     """Descent set of a plain permutation ('linear' or 'cyclic')."""
-    return _stat(validate_perm(p), f"descent_{kind}", kind, "descent")
+    key = {"linear": "descent", "cyclic": "cyclic_descent"}.get(str(kind))
+    return _stat(validate_perm(p), key, kind, "descent")
 
 
 def peak_stat(p, kind: str = "interior") -> StatResult:
@@ -260,7 +255,10 @@ def group_name(group: str) -> str:
 def iterate_group(group: str, n: int, force: bool = False) -> tuple[Perm, ...]:
     """All of S_n or B_n in lexicographic order, as one tuple per group and
     size shared by every caller.  The guard runs on every call, so a forced
-    call never lifts it for a later unforced one."""
+    call never lifts it for a later unforced one.  An n that is not an int
+    (a bool, a float) is refused, never coerced."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, not {n!r}")
     group = group_name(group)
     elements = (symmetric_group if group == "S" else hyperoctahedral_group)(n, force)
     return memo("groups", (group, n), lambda: tuple(elements))

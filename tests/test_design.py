@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import peaklab
 from peaklab import cli, groupalgebra, limits, orderpolys, perms, posets, qsym
 from peaklab.exact import UniPoly
@@ -156,6 +158,21 @@ def test_one_list_of_peak_polynomial_kinds(capsys):
     literals = {node.value for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
                 if isinstance(node, ast.Constant)}
     assert not literals & set(kinds)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_one_table_of_statistics(capsys, signed):
+    # stats prints perms.STATISTICS in table order, a B_ name without its
+    # prefix under --signed; cli names no statistic itself
+    argv = ["stats", "[-2,1,3]", "--signed"] if signed else ["stats", "[2,1,3]"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    names = [name.removeprefix("B_") for name in perms.STATISTICS
+             if name.startswith("B_") == signed]
+    assert list(out) == ["perm", "n", "signed", *names]
+    literals = {node.value for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                if isinstance(node, ast.Constant)}
+    assert not literals & set(perms.STATISTICS)
 
 
 def test_section_43_identities_build_no_fraction(monkeypatch):

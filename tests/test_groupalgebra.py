@@ -142,6 +142,21 @@ def test_class_sum_refuses_a_label_of_another_type(n, family, label):
         class_sum(n, family, label)
 
 
+@pytest.mark.parametrize("call, args", [
+    (peak_polynomial, (True, "A_eulerian")),
+    (peak_polynomial, (2.0, "A_eulerian")),
+    (refined_decomposition, (2.0, "typeA_F")),
+    (class_sum, (2.0, "descent_num", 0)),
+    (verify_identity, (True, "ges")),
+])
+def test_group_sweeps_refuse_an_n_that_is_not_an_int(monkeypatch, call, args):
+    # iterate_group refuses a bool or float n before its guard and its memo
+    monkeypatch.setattr(limits, "_CACHES", {})
+    with pytest.raises(ValueError, match=f"^n must be an int, not {args[0]!r}$"):
+        call(*args)
+    assert not any(limits._CACHES.values())
+
+
 def test_class_sum_keeps_the_top_level_list_label():
     assert class_sum(2, "B_peak_sign_num", [1, 0]) == class_sum(2, "B_peak_sign_num", (1, 0))
     assert class_sum(3, "B_peak_sign_set", [0, (2,)]).support_size() == 5

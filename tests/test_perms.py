@@ -19,6 +19,7 @@ from peaklab.perms import (
     hyperoctahedral_group,
     identity_perm,
     inverse,
+    iterate_group,
     left_peak_mask,
     omega,
     peak_mask,
@@ -175,10 +176,10 @@ def test_signed_mask_ranges(p):
 
 
 def test_signed_masks_match_their_definitions():
-    # brute force on B_0..B_5, reading pi(0) = 0: a signed peak is
+    # brute force on B_0..B_6, reading pi(0) = 0: a signed peak is
     # pi(i-1) < pi(i) > pi(i+1) at 1 <= i <= n-1, a B-descent pi(i) > pi(i+1)
     # at 0 <= i <= n-1
-    for n in range(6):
+    for n in range(7):
         for p in hyperoctahedral_group(n):
             w = (0,) + p
             peaks = {i for i in range(1, n) if w[i - 1] < w[i] > w[i + 1]}
@@ -188,10 +189,10 @@ def test_signed_masks_match_their_definitions():
 
 
 def test_unsigned_peak_masks_match_their_definitions():
-    # brute force on S_0..S_7, reading pi(0) = pi(n+1) = 0: a peak is
+    # brute force on S_0..S_8, reading pi(0) = pi(n+1) = 0: a peak is
     # pi(i-1) < pi(i) > pi(i+1), and the flavors keep interior 2..n-1,
     # left 1..n-1, right 2..n and exterior 1..n
-    for n in range(8):
+    for n in range(9):
         for p in symmetric_group(n):
             w = (0,) + p + (0,)
             peaks = {i for i in range(1, n + 1) if w[i - 1] < w[i] > w[i + 1]}
@@ -199,6 +200,26 @@ def test_unsigned_peak_masks_match_their_definitions():
                                  (right_peak_mask, 2, n), (exterior_peak_mask, 1, n)):
                 want = {i for i in peaks if lo <= i <= hi}
                 assert set(positions(mask(p))) == want, (mask.__name__, p)
+
+
+@pytest.mark.parametrize("group, sizes", [("S", range(1, 8)), ("B", range(1, 6))])
+def test_every_linear_statistic_is_a_function_of_the_descent_word(group, sizes):
+    # each table entry of the group's half (B_ names on B_n) is constant on
+    # every descent class; the cyclic entries, the control, are not
+    names = [name for name in STATISTICS if name.startswith("B_") == (group == "B")]
+    descents = STATISTICS["B_descent" if group == "B" else "descent"]
+    split = set()
+    for n in sizes:
+        values = {}
+        for p in iterate_group(group, n):
+            for name in names:
+                values.setdefault((name, descents(p)), set()).add(STATISTICS[name](p))
+        for (name, _), seen in values.items():
+            if "cyclic" not in name:
+                assert len(seen) == 1, (name, n)
+            elif len(seen) > 1 and n >= 3:
+                split.add(name)
+    assert split == {name for name in names if "cyclic" in name}
 
 
 def test_peak_count_bound():

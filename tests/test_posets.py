@@ -407,7 +407,7 @@ def test_chain_word_is_the_descent_set():
         for g in iterate_group("S", n):
             word = chain_word(g)
             assert len(word) == n - 1
-            assert sum(1 << s for s, x in enumerate(word, 1) if x < 0) == STATISTICS["descent_linear"](g)
+            assert sum(1 << s for s, x in enumerate(word, 1) if x < 0) == STATISTICS["descent"](g)
     for n in range(1, 5):
         for g in iterate_group("B", n):
             word = chain_word(g, anchored=True)

@@ -548,7 +548,7 @@ def test_bipartite_sweep_reports_first_failing_element(monkeypatch):
 # its per-element check at the first element of each (class, descent set)
 # pair: the descent set is the chain word, read with the anchor in B_n.
 _SWEEP_CLASSES = {"interior": ("peak_interior",), "left": ("peak_left",),
-                  "B": ("B_sign", "B_peak"), "gesA": ("descent_linear",)}
+                  "B": ("B_sign", "B_peak"), "gesA": ("descent",)}
 _SWEEP_FLAVORS = {"mon": ("interior", "left", "B"), "fun": ("interior", "left", "B"),
                   "gf_ges": ("gesA",), "gf_interior": ("interior",), "gf_B": ("B",)}
 
@@ -567,7 +567,7 @@ def _first_elements(flavor, n, *extra):
 
 
 def _descents(flavor):
-    return "B_descent" if flavor == "B" else "descent_linear"
+    return "B_descent" if flavor == "B" else "descent"
 
 
 def _record_checks(monkeypatch, check, visited, broken=None):
